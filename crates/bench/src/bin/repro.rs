@@ -97,9 +97,9 @@ fn usage() -> ExitCode {
                               flight.json, and a simulator fault dumps it as\n\
                               crashdump.json\n\
          --threads N          drive every simulation on N host threads via\n\
-                              the phased-tick parallel engine (default 1 =\n\
-                              sequential); results are bit-identical at any\n\
-                              thread count\n\
+                              the quantum engine (default 1 = sequential step\n\
+                              loop; fault-plan runs always use the step loop);\n\
+                              results are bit-identical at any thread count\n\
          --checkpoint-dir DIR snapshot the degraded run into DIR as atomic\n\
                               ckpt-<cycle>.json files with bounded retention;\n\
                               on a simulator fault the last good snapshot is\n\

@@ -169,7 +169,7 @@ pub struct ExperimentRequest {
     /// Workload-model constants.
     pub model: ModelConfig,
     /// Host threads driving any cycle-accurate simulation. Excluded from
-    /// the cache key: the phased-tick engine is bit-identical at any
+    /// the cache key: the simulator's engines are bit-identical at any
     /// thread count, so results are shareable across `threads` settings.
     pub threads: usize,
 }

@@ -10,9 +10,9 @@
 //!
 //! The contract is strict **bit-exactness**: [`Cluster::restore`] followed
 //! by [`Cluster::run`] produces a [`crate::ClusterStats::digest`] equal to
-//! the unbroken run's, at any `threads` count — the phased-tick engine is
-//! bit-identical across host-thread counts and a checkpoint carries no
-//! host-side state.
+//! the unbroken run's, at any `threads` count — the step and quantum
+//! engines are bit-identical across host-thread counts and a checkpoint
+//! carries no host-side state.
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!

@@ -12,11 +12,11 @@
 //! 3. **issue** — every non-halted core consumes pipeline bubbles, checks
 //!    its I$, and issues at most one instruction through the scoreboard.
 //!
-//! Delivery and issue are tile-local, which is what the phased-tick
-//! engine exploits: with [`SimParams::threads`]` > 1`, [`Cluster::run`]
-//! advances tiles on a host-thread pool between two deterministic
-//! sequential phases, producing bit-identical results to the sequential
-//! engine at any thread count.
+//! Delivery and issue are tile-local, which is what the quantum engine
+//! exploits: with [`SimParams::threads`]` > 1` and no fault plan,
+//! [`Cluster::run`] shards tiles over host threads that run the same tile
+//! kernel as the sequential step engine, producing bit-identical results
+//! at any thread count.
 //!
 //! The phase split realizes the paper's zero-load latencies exactly: a
 //! tile-local load issued in cycle `c` is usable in cycle `c+1`, a
@@ -298,8 +298,8 @@ pub struct Cluster {
     /// Whether cluster events mirror into the obs flight ring
     /// (armed by [`Cluster::enable_flight`]).
     pub(crate) flight_enabled: bool,
-    /// Per-tile deferred-side-effect buffers for the phased-tick engine
-    /// (drained empty at the end of every tick).
+    /// Per-tile deferred-side-effect buffers for the step engine's local
+    /// phase (drained empty by its commit at the end of every tick).
     pub(crate) scratches: Vec<TileScratch>,
     /// Per-tick F2F link-health snapshot for the engine's local phase.
     pub(crate) links: LinkSnapshot,
@@ -356,11 +356,13 @@ impl Cluster {
         }
     }
 
-    /// Sets the number of host threads the phased-tick engine uses for
-    /// subsequent [`Cluster::run`] calls. `1` (or `0`, clamped) selects
-    /// the sequential engine; any value is also capped at the tile count
-    /// since a tile is the unit of parallelism. Never changes simulated
-    /// behavior — results are bit-identical at every thread count.
+    /// Sets the number of host threads subsequent [`Cluster::run`] calls
+    /// request. `1` (or `0`, clamped) selects the sequential step loop;
+    /// more threads select the quantum engine unless a fault plan or
+    /// spare-bank remap keeps the run on the step loop. Any value is also
+    /// capped at the tile count since a tile is the unit of parallelism.
+    /// Never changes simulated behavior — results are bit-identical at
+    /// every thread count.
     pub fn set_threads(&mut self, threads: usize) {
         self.params.threads = threads.max(1);
     }
@@ -993,9 +995,9 @@ impl Cluster {
         }
     }
 
-    /// Advances the cluster by one cycle (always on the sequential
-    /// engine; [`Cluster::run`] is the entry point for the parallel one —
-    /// both produce bit-identical results).
+    /// Advances the cluster by one cycle on the sequential step engine
+    /// ([`Cluster::run`] is the entry point for the quantum engine — both
+    /// produce bit-identical results).
     ///
     /// # Errors
     ///
@@ -1004,26 +1006,18 @@ impl Cluster {
     /// watchdog-detected deadlock.
     #[must_use = "a step can fail with a SimError that must not be ignored"]
     pub fn step(&mut self) -> Result<(), SimError> {
-        let (mut ms, mut ph, mut cells) = engine::split(self);
-        let mut views: Vec<&mut engine::TileCell<'_>> = cells.iter_mut().collect();
-        engine::pre_tick(&mut ms, &mut ph, &mut views)?;
-        {
-            let ctx = engine::local_ctx(&ms, &ph);
-            for cell in views.iter_mut() {
-                engine::local_tile(&ctx, cell);
-            }
-        }
-        engine::commit_tick(&mut ms, &mut ph, &mut views)
+        engine::step(self)
     }
 
     /// Runs until every core halts, returning the cycle count at that
     /// point.
     ///
-    /// With [`SimParams::threads`]` > 1` (see [`Cluster::set_threads`])
-    /// the run advances tile-local state on a host-thread pool with a
-    /// sequential, deterministically ordered commit barrier per cycle —
-    /// bit-identical to the sequential engine in every observable way
-    /// (stats, time-series, fault reports, errors).
+    /// With more than one effective worker (see [`Cluster::set_threads`]
+    /// and [`Cluster::effective_workers`]) and no fault plan or spare-bank
+    /// remap, the run takes the quantum engine: tile shards on host
+    /// threads in lockstep quanta. Everything else runs the sequential
+    /// step loop. Both are bit-identical in every observable way (stats,
+    /// time-series, fault reports, errors).
     ///
     /// # Errors
     ///
@@ -1043,9 +1037,8 @@ impl Cluster {
             // quantum path is reserved for real parallelism.
             return engine::run_quantum(self, max_cycles, threads);
         }
-        if threads > 1 {
-            return engine::run_parallel(self, max_cycles, threads);
-        }
+        // One worker, or a fault plan / spare-bank remap at any worker
+        // count: the sequential step loop.
         let deadline = self.cycle + max_cycles;
         while !self.quiescent() {
             if self.cycle >= deadline {
@@ -1058,10 +1051,10 @@ impl Cluster {
 
     /// Whether a multi-worker [`Cluster::run`] may take the quantum
     /// engine. Fault plans (timed faults, ECC, link state) and spare-bank
-    /// remaps hook the per-tick sequential phases the quantum engine
-    /// batches away, so they fall back to the phased-tick engine; every
-    /// observability facility rides the quantum engine's shard-local
-    /// observation lanes.
+    /// remaps hook the step engine's per-tick pre and commit phases, which
+    /// the quantum engine batches away, so those runs stay on the
+    /// sequential step loop at any thread count; every observability
+    /// facility rides the quantum engine's shard-local observation lanes.
     fn quantum_eligible(&self) -> bool {
         self.faults.is_none() && self.storage.spares_per_tile() == 0
     }
@@ -1234,7 +1227,7 @@ impl Cluster {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSelection {
     /// `"quantum"` (lockstep shard quanta) or `"step"` (per-tick phased
-    /// commit, sequential or thread-pooled).
+    /// commit, always sequential).
     pub engine: &'static str,
     /// Why that engine was (or will be) chosen.
     pub reason: &'static str,
@@ -1262,12 +1255,12 @@ pub(crate) fn select_engine(workers: usize, faulted: bool, spares: bool) -> Engi
     } else if faulted {
         EngineSelection {
             engine: "step",
-            reason: "fault plan injected: fault/ECC/link hooks run in the per-tick phases",
+            reason: "fault plan injected: runs sequentially on the step loop, where the fault/ECC/link hooks live",
         }
     } else if spares {
         EngineSelection {
             engine: "step",
-            reason: "spare-bank remaps active: bank indirection resolves in the per-tick phases",
+            reason: "spare-bank remaps active: runs sequentially on the step loop, where bank indirection resolves",
         }
     } else {
         EngineSelection {

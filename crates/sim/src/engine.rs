@@ -1,35 +1,42 @@
-//! The phased-tick execution engine.
+//! The two execution engines and the one tile kernel they share.
 //!
-//! One simulated cycle is split into three phases:
+//! Every simulated cycle does the same per-tile work: each tile serves
+//! its banks (at most one request per bank), delivers its cores' due
+//! responses, and issues at most one instruction per core. The issue
+//! half is [`local_tile`], a single kernel generic over a [`TileSink`]
+//! that receives every side effect the tile may not apply itself (bank
+//! pushes to other tiles, off-chip accesses, trace entries, `wfi` span
+//! begins, errors). Bank service shares [`pick_access`] and
+//! [`access_word`] the same way. Two engines drive that work:
 //!
-//! 1. **pre phase** (sequential) — timed faults are applied, every bank
-//!    serves at most one request, and the per-tick link-health snapshot is
-//!    refreshed;
-//! 2. **local phase** (parallelizable) — each tile independently delivers
-//!    its cores' due responses and issues at most one instruction per
-//!    core. The phase is *shared-nothing*: a tile mutates only its own
-//!    cores, I$, response queues, and scratch buffer, and reads only
-//!    immutable context (config, topology, program, the address map, and
-//!    the link snapshot). Every cross-tile side effect — bank pushes,
-//!    off-chip transactions, trace entries, fault/observability events —
-//!    is deferred into the tile's [`TileScratch`];
-//! 3. **commit phase** (sequential) — scratch buffers are drained in
-//!    tile-index order, which reproduces the sequential engine's global
-//!    core order exactly, then the watchdog, clock, and time-series
-//!    sampling advance.
+//! * **The step engine** ([`step`], looped by [`Cluster::run`] at one
+//!   worker) splits a cycle into three phases:
+//!   1. *pre* — timed faults are applied, every bank serves at most one
+//!      request (with ECC and spare remap), and the per-tick link-health
+//!      snapshot is refreshed;
+//!   2. *local* — each tile runs the kernel into its [`TileScratch`],
+//!      reading only immutable context (config, topology, program, the
+//!      address map, and the link snapshot);
+//!   3. *commit* — scratch buffers are drained in tile-index order, then
+//!      the watchdog, clock, and time-series sampling advance.
 //!
-//! Because the local phase is shared-nothing and the commit drain order is
-//! fixed, running tiles on `N` host threads is bit-identical to running
-//! them on one: same stats, same artifacts, same errors. The parallel
-//! driver ([`run_parallel`]) amortizes thread startup across the whole run
-//! with one [`std::thread::scope`] and two barriers per tick; the
-//! per-tile [`Mutex`]es are uncontended by construction (a tile is touched
-//! by exactly one thread per phase) and exist only to prove exclusive
-//! access to the borrow checker under `#![forbid(unsafe_code)]`.
+//!   It is the only engine that runs fault plans and spare-bank remaps,
+//!   at any `--threads`.
+//! * **The quantum engine** ([`run_quantum`], multi-worker runs) shards
+//!   tiles over workers that run the same kernel into their
+//!   [`WorkerLane`]s in per-tick lockstep and meet only at quantum
+//!   boundaries (see the section comment below).
+//!
+//! The commit drain order is the determinism contract: it reproduces
+//! global core order exactly, and the quantum engine's mailboxes and
+//! boundary merges restore the same order, so both engines are
+//! bit-identical at every worker count — same stats, same artifacts,
+//! same errors.
 //!
 //! Observability ([`ClusterObs`]), fault bookkeeping
 //! ([`FaultController`]), and tracing are `Rc`-based and never cross a
-//! thread boundary: they are only touched from the sequential phases.
+//! thread boundary: the step engine touches them only in its pre and
+//! commit phases, the quantum engine only at its boundaries.
 //!
 //! Error semantics: a core that faults during the local phase stops
 //! issuing for the rest of its *tile's* phase; other tiles complete the
@@ -37,9 +44,8 @@
 //! core with the lowest global index — deterministic at every thread
 //! count.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use mempool_arch::{
@@ -97,6 +103,34 @@ pub(crate) enum FaultNote {
     },
 }
 
+/// Where the tile kernel ([`local_tile`]) puts every side effect it does
+/// not apply to its own tile. Monomorphized per engine: the step engine
+/// defers into a [`TileScratch`] drained by [`commit_tick`]; the quantum
+/// engine routes into its worker lane ([`LaneSink`]).
+pub(crate) trait TileSink {
+    /// Whether the kernel consults the per-tick [`LinkSnapshot`]. Only
+    /// the step engine runs fault plans, so the quantum build compiles
+    /// the degraded/dead-link arms out.
+    const LINK_FAULTS: bool;
+    /// A response was delivered or an instruction retired (watchdog
+    /// forward progress).
+    fn progress(&mut self);
+    /// One I$ miss (observability counter).
+    fn icache_miss(&mut self);
+    /// One retired instruction (only called while tracing).
+    fn trace(&mut self, entry: TraceEntry);
+    /// Core `core` executed `wfi` at `now` (obs span begin).
+    fn halt(&mut self, now: u64, core: u32);
+    /// The error that stops `tile` issuing at `now`.
+    fn error(&mut self, now: u64, tile: u32, error: SimError);
+    /// A request from `tile` for the global bank `bank`.
+    fn bank_push(&mut self, tile: u32, bank: usize, access: PendingAccess);
+    /// An off-chip access issued from `tile` at `now`.
+    fn external(&mut self, now: u64, tile: u32, intent: ExternalIntent);
+    /// A fault-bookkeeping event (only reached when `LINK_FAULTS`).
+    fn fault_note(&mut self, note: FaultNote);
+}
+
 /// Per-tile scratch buffer: every side effect the local phase may not
 /// apply directly, drained (in tile-index order) by [`commit_tick`].
 #[derive(Debug, Default)]
@@ -113,17 +147,52 @@ pub(crate) struct TileScratch {
     pub halts: Vec<usize>,
     /// I$ misses this cycle (observability counter delta).
     pub icache_misses: u64,
-    /// First error this tile hit, with the faulting core's global id.
-    pub error: Option<(u32, SimError)>,
-    /// Whether any response was delivered to this tile's cores.
-    pub delivered: bool,
-    /// Whether any of this tile's cores retired an instruction.
-    pub retired: bool,
+    /// The error that stopped this tile issuing this cycle.
+    pub error: Option<SimError>,
+    /// Whether any of this tile's cores received a response or retired
+    /// an instruction.
+    pub progress: bool,
+}
+
+impl TileSink for TileScratch {
+    const LINK_FAULTS: bool = true;
+
+    fn progress(&mut self) {
+        self.progress = true;
+    }
+
+    fn icache_miss(&mut self) {
+        self.icache_misses += 1;
+    }
+
+    fn trace(&mut self, entry: TraceEntry) {
+        self.trace.push(entry);
+    }
+
+    fn halt(&mut self, _now: u64, core: u32) {
+        self.halts.push(core as usize);
+    }
+
+    fn error(&mut self, _now: u64, _tile: u32, error: SimError) {
+        self.error = Some(error);
+    }
+
+    fn bank_push(&mut self, _tile: u32, bank: usize, access: PendingAccess) {
+        self.bank_pushes.push((bank, access));
+    }
+
+    fn external(&mut self, _now: u64, _tile: u32, intent: ExternalIntent) {
+        self.externals.push(intent);
+    }
+
+    fn fault_note(&mut self, note: FaultNote) {
+        self.fault_events.push(note);
+    }
 }
 
 /// Per-tick snapshot of F2F link health, refreshed in the pre phase so
 /// the local phase can consult link state without touching the
-/// (`Rc`-based, thread-confined) [`FaultController`].
+/// (`Rc`-based) [`FaultController`].
 #[derive(Debug, Default)]
 pub(crate) struct LinkSnapshot {
     active: bool,
@@ -161,7 +230,19 @@ impl LinkSnapshot {
     }
 }
 
-/// The mutable state one tile owns exclusively during the local phase.
+/// Read-only context the tile kernel runs against, in both engines.
+#[derive(Debug)]
+pub(crate) struct KernelCtx<'a> {
+    pub config: &'a ClusterConfig,
+    pub topo: &'a Topology,
+    pub params: &'a SimParams,
+    pub program: &'a Program,
+    pub map: &'a AddressMap,
+    pub links: &'a LinkSnapshot,
+    pub trace_on: bool,
+}
+
+/// The mutable state one tile owns during the step engine's local phase.
 #[derive(Debug)]
 pub(crate) struct TileCell<'a> {
     /// Tile index.
@@ -176,27 +257,17 @@ pub(crate) struct TileCell<'a> {
     pub scratch: &'a mut TileScratch,
 }
 
-/// State shared read-only with the local phase: the storage (for address
-/// decode only — no data is read or written outside the sequential
-/// phases), the link snapshot, and the tick's cycle number. In parallel
-/// mode this lives behind the run's [`RwLock`].
-#[derive(Debug)]
-pub(crate) struct PhaseShared<'a> {
-    /// Backing storage; the local phase only calls its pure `decode`.
-    pub storage: &'a mut Storage,
-    /// Per-tick link-health snapshot.
-    pub links: &'a mut LinkSnapshot,
-    /// The cycle this tick simulates.
-    pub now: u64,
-}
-
-/// Everything only the sequential phases touch.
+/// Everything outside the tiles, touched only by the pre and commit
+/// phases (the local phase reads the immutable parts through
+/// [`kernel_ctx`]).
 #[derive(Debug)]
 pub(crate) struct MainState<'a> {
     pub config: &'a ClusterConfig,
     pub topo: &'a Topology,
     pub params: &'a SimParams,
     pub program: &'a Program,
+    pub storage: &'a mut Storage,
+    pub links: &'a mut LinkSnapshot,
     pub banks: &'a mut Vec<Bank>,
     pub offchip: &'a mut OffchipPort,
     pub trace: &'a mut Option<Trace>,
@@ -208,21 +279,8 @@ pub(crate) struct MainState<'a> {
     pub cycle: &'a mut u64,
 }
 
-/// Read-only context every tile's local phase runs against.
-#[derive(Debug)]
-pub(crate) struct LocalCtx<'a> {
-    pub config: &'a ClusterConfig,
-    pub topo: &'a Topology,
-    pub params: &'a SimParams,
-    pub program: &'a Program,
-    pub storage: &'a Storage,
-    pub links: &'a LinkSnapshot,
-    pub trace_on: bool,
-    pub now: u64,
-}
-
-/// Borrows a cluster apart into the three phase views.
-pub(crate) fn split(c: &mut Cluster) -> (MainState<'_>, PhaseShared<'_>, Vec<TileCell<'_>>) {
+/// Borrows a cluster apart into the main state and per-tile cells.
+fn split(c: &mut Cluster) -> (MainState<'_>, Vec<TileCell<'_>>) {
     let Cluster {
         config,
         topo,
@@ -259,13 +317,14 @@ pub(crate) fn split(c: &mut Cluster) -> (MainState<'_>, PhaseShared<'_>, Vec<Til
             scratch,
         })
         .collect();
-    let now = *cycle;
     (
         MainState {
             config,
             topo,
             params,
             program,
+            storage,
+            links,
             banks,
             offchip,
             trace,
@@ -276,66 +335,59 @@ pub(crate) fn split(c: &mut Cluster) -> (MainState<'_>, PhaseShared<'_>, Vec<Til
             flight_enabled: *flight_enabled,
             cycle,
         },
-        PhaseShared {
-            storage,
-            links,
-            now,
-        },
         cells,
     )
 }
 
-/// Builds the local-phase context from the main/shared views.
-pub(crate) fn local_ctx<'b>(ms: &'b MainState<'_>, ph: &'b PhaseShared<'_>) -> LocalCtx<'b> {
-    LocalCtx {
+/// The tile kernel's context, borrowed from the main state.
+fn kernel_ctx<'b>(ms: &'b MainState<'_>) -> KernelCtx<'b> {
+    KernelCtx {
         config: ms.config,
         topo: ms.topo,
         params: ms.params,
         program: ms.program,
-        storage: &*ph.storage,
-        links: &*ph.links,
+        map: ms.storage.map(),
+        links: &*ms.links,
         trace_on: ms.trace.is_some(),
-        now: ph.now,
     }
 }
 
-/// Whether the cluster is fully quiescent (see [`Cluster::quiescent`]),
-/// computed over the phase views.
-pub(crate) fn tick_quiescent(banks: &[Bank], cells: &[&mut TileCell<'_>]) -> bool {
-    cells.iter().all(|cell| cell.cores.iter().all(Core::halted))
-        && banks.iter().all(|b| b.queue.is_empty())
-        && cells
-            .iter()
-            .all(|cell| cell.responses.iter().all(Vec::is_empty))
-        && cells
-            .iter()
-            .all(|cell| cell.cores.iter().all(|c| c.outstanding() == 0))
+/// Advances the cluster by one cycle on the step engine: pre phase, the
+/// tile kernel over every tile in index order, commit.
+pub(crate) fn step(cluster: &mut Cluster) -> Result<(), SimError> {
+    let (mut ms, mut cells) = split(cluster);
+    pre_tick(&mut ms, &mut cells)?;
+    let now = *ms.cycle;
+    let ctx = kernel_ctx(&ms);
+    for cell in cells.iter_mut() {
+        local_tile(
+            &ctx,
+            now,
+            cell.tile,
+            cell.cores,
+            cell.icache,
+            cell.responses,
+            cell.scratch,
+        );
+    }
+    commit_tick(&mut ms, &mut cells)
 }
 
 /// The sequential pre phase: timed faults, bank service, the no-program
 /// check, and the link-snapshot refresh.
-pub(crate) fn pre_tick(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
-    ph.now = *ms.cycle;
-    apply_due_faults(ms, ph, cells)?;
-    serve_banks(ms, ph, cells)?;
+fn pre_tick(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
+    apply_due_faults(ms, cells)?;
+    serve_banks(ms, cells)?;
     if ms.program.is_empty() {
         return Err(SimError::NoProgram);
     }
-    ph.links.refresh(ms.faults.as_ref(), ms.config.num_tiles());
+    ms.links.refresh(ms.faults.as_ref(), ms.config.num_tiles());
     Ok(())
 }
 
 /// Applies timed faults due at the current cycle: bit flips corrupt the
 /// stored word (and arm the ECC mask), hangs latch cores up.
-fn apply_due_faults(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
+fn apply_due_faults(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
     let due = match ms.faults.as_mut() {
         Some(faults) => faults.take_due(*ms.cycle),
         None => return Ok(()),
@@ -347,8 +399,8 @@ fn apply_due_faults(
                 // A flip aimed outside the geometry (or at a remapped
                 // word's logical home) still lands: the storage layer
                 // resolves through the remap, so the spare takes it.
-                if let Ok(word) = ph.storage.read_loc(loc) {
-                    ph.storage.write_loc(loc, word ^ mask)?;
+                if let Ok(word) = ms.storage.read_loc(loc) {
+                    ms.storage.write_loc(loc, word ^ mask)?;
                     if let Some(faults) = ms.faults.as_mut() {
                         faults.note_flip(loc, mask);
                     }
@@ -368,14 +420,68 @@ fn apply_due_faults(
     Ok(())
 }
 
-/// The sequential bank-service phase: every bank serves at most one
-/// request whose network arrival lies strictly in the past (earliest
-/// arrival wins, FIFO among ties), counting conflict cycles.
-fn serve_banks(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
+/// Bank arbitration, shared by both engines: picks the request `bank`
+/// serves at `now` — earliest network arrival strictly in the past, FIFO
+/// among ties — and books its depth, conflict, and served stats. Returns
+/// the access with the conflict cycles it charged.
+#[inline]
+fn pick_access(bank: &mut Bank, now: u64) -> Option<(PendingAccess, u64)> {
+    bank.stats.max_queue_depth = bank.stats.max_queue_depth.max(bank.queue.len() as u64);
+    let mut best: Option<usize> = None;
+    let mut contenders = 0u64;
+    for (i, access) in bank.queue.iter().enumerate() {
+        if access.arrival < now {
+            contenders += 1;
+            if best.is_none_or(|b| access.arrival < bank.queue[b].arrival) {
+                best = Some(i);
+            }
+        }
+    }
+    let index = best?;
+    let conflicts = contenders - 1;
+    bank.stats.conflicts += conflicts;
+    bank.stats.served += 1;
+    Some((bank.queue.swap_remove(index), conflicts))
+}
+
+/// The load/store/AMO word update, shared by both engines: applies
+/// `access` to `old`, the word it addresses. Returns the word to write
+/// back (stores and AMOs only) and the response value.
+#[inline]
+fn access_word(access: &PendingAccess, old: u32) -> (Option<u32>, u32) {
+    let shift = (access.addr & 3) * 8;
+    let (write, value) = match access.kind {
+        MemAccessKind::Load { width, .. } => match width {
+            MemWidth::Byte => (None, (old >> shift) & 0xff),
+            MemWidth::Half => (None, (old >> shift) & 0xffff),
+            MemWidth::Word => (None, old),
+        },
+        MemAccessKind::Store { width, value } => {
+            let new = match width {
+                MemWidth::Byte => (old & !(0xff << shift)) | ((value & 0xff) << shift),
+                MemWidth::Half => (old & !(0xffff << shift)) | ((value & 0xffff) << shift),
+                MemWidth::Word => value,
+            };
+            (Some(new), 0)
+        }
+        MemAccessKind::Amo { op, value, .. } => (Some(op.apply(old, value)), old),
+    };
+    (write, sign_adjust(access.kind, value))
+}
+
+/// The flight-ring name of an access kind.
+fn kind_name(kind: MemAccessKind) -> &'static str {
+    match kind {
+        MemAccessKind::Load { .. } => "load",
+        MemAccessKind::Store { .. } => "store",
+        MemAccessKind::Amo { .. } => "amo",
+    }
+}
+
+/// The step engine's bank-service phase: every bank serves at most one
+/// request ([`pick_access`]), with the SEC-DED check and scrub, the
+/// spare-bank remap (inside [`Storage::read_loc`]), and flight events.
+fn serve_banks(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
     let now = *ms.cycle;
     let flight = if ms.flight_enabled {
         ms.obs.as_ref().map(|hooks| hooks.obs.flight.clone())
@@ -384,47 +490,30 @@ fn serve_banks(
     };
     let cpt = ms.config.cores_per_tile() as usize;
     for bank in ms.banks.iter_mut() {
-        bank.stats.max_queue_depth = bank.stats.max_queue_depth.max(bank.queue.len() as u64);
-        let mut best: Option<usize> = None;
-        let mut contenders = 0;
-        for (i, access) in bank.queue.iter().enumerate() {
-            if access.arrival < now {
-                contenders += 1;
-                let better = match best {
-                    None => true,
-                    Some(b) => access.arrival < bank.queue[b].arrival,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        let Some(index) = best else { continue };
-        if contenders > 1 {
-            bank.stats.conflicts += (contenders - 1) as u64;
+        let Some((access, conflicts)) = pick_access(bank, now) else {
+            continue;
+        };
+        if conflicts > 0 {
             if let Some(hooks) = ms.obs {
-                hooks.bank_conflicts.add((contenders - 1) as u64);
+                hooks.bank_conflicts.add(conflicts);
             }
         }
-        let access = bank.queue.swap_remove(index);
-        bank.stats.served += 1;
         if let Some(flight) = &flight {
-            let kind = match access.kind {
-                MemAccessKind::Load { .. } => "load",
-                MemAccessKind::Store { .. } => "store",
-                MemAccessKind::Amo { .. } => "amo",
-            };
             flight.record(
                 now,
                 "mem",
                 Some(access.core),
                 format!(
-                    "{kind} served at tile {} bank {} word {}",
-                    access.loc.tile.0, access.loc.bank.0, access.loc.word
+                    "{} served at tile {} bank {} word {}",
+                    kind_name(access.kind),
+                    access.loc.tile.0,
+                    access.loc.bank.0,
+                    access.loc.word
                 ),
             );
         }
-        let mut old_word = ph.storage.read_loc(access.loc)?;
+        let (tile, local) = (access.core as usize / cpt, access.core as usize % cpt);
+        let mut old_word = ms.storage.read_loc(access.loc)?;
         // SEC-DED check on every access that observes the stored word
         // (a full-word store overwrites it without reading).
         let reads_word = !matches!(
@@ -442,10 +531,8 @@ fn serve_banks(
                     EccOutcome::Corrected { value } => {
                         // Correct the returned word and scrub storage.
                         old_word = value;
-                        ph.storage.write_loc(access.loc, value)?;
+                        ms.storage.write_loc(access.loc, value)?;
                         extra_resp = ms.params.ecc_correction_penalty;
-                        let (tile, local) =
-                            (access.core as usize / cpt, access.core as usize % cpt);
                         let core = &mut cells[tile].cores[local];
                         if !core.halted() {
                             core.insert_bubble(extra_resp);
@@ -464,79 +551,59 @@ fn serve_banks(
                 }
             }
         }
-        let shift = (access.addr & 3) * 8;
-        let response_value = match access.kind {
-            MemAccessKind::Load { width, .. } => match width {
-                MemWidth::Byte => (old_word >> shift) & 0xff,
-                MemWidth::Half => (old_word >> shift) & 0xffff,
-                MemWidth::Word => old_word,
-            },
-            MemAccessKind::Store { width, value } => {
-                let new = match width {
-                    MemWidth::Byte => (old_word & !(0xff << shift)) | ((value & 0xff) << shift),
-                    MemWidth::Half => (old_word & !(0xffff << shift)) | ((value & 0xffff) << shift),
-                    MemWidth::Word => value,
-                };
-                ph.storage.write_loc(access.loc, new)?;
-                0
-            }
-            MemAccessKind::Amo { op, value, .. } => {
-                ph.storage
-                    .write_loc(access.loc, op.apply(old_word, value))?;
-                old_word
-            }
-        };
-        // Any write leaves a freshly encoded (error-free) word behind.
-        if matches!(
-            access.kind,
-            MemAccessKind::Store { .. } | MemAccessKind::Amo { .. }
-        ) {
+        let (write, value) = access_word(&access, old_word);
+        if let Some(new) = write {
+            ms.storage.write_loc(access.loc, new)?;
+            // Any write leaves a freshly encoded (error-free) word behind.
             if let Some(faults) = ms.faults.as_mut() {
                 faults.ecc_clear(access.loc);
             }
         }
-        let reg = access.kind.response_reg();
-        let raw = sign_adjust(access.kind, response_value);
-        let (tile, local) = (access.core as usize / cpt, access.core as usize % cpt);
         cells[tile].responses[local].push(Response {
             due: now + (access.resp_latency + extra_resp) as u64,
-            reg,
-            value: raw,
+            reg: access.kind.response_reg(),
+            value,
         });
     }
     Ok(())
 }
 
-/// The local phase for one tile: deliver due responses to this tile's
-/// cores, then issue at most one instruction per core, deferring every
-/// cross-tile side effect into the tile's scratch.
-pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
-    let now = ctx.now;
+/// The tile kernel, shared by both engines: deliver due responses to one
+/// tile's cores, then issue at most one instruction per core, handing
+/// every side effect beyond the tile's own cores and I$ to `sink`.
+fn local_tile<S: TileSink>(
+    ctx: &KernelCtx<'_>,
+    now: u64,
+    tile: u32,
+    cores: &mut [Core],
+    icache: &mut ICache,
+    responses: &mut [Vec<Response>],
+    sink: &mut S,
+) {
     // Response delivery (forward progress).
-    for (core, responses) in cell.cores.iter_mut().zip(cell.responses.iter_mut()) {
+    for (core, responses) in cores.iter_mut().zip(responses.iter_mut()) {
         let mut i = 0;
         while i < responses.len() {
             if responses[i].due <= now {
                 let r = responses.swap_remove(i);
                 core.complete(r.reg, r.value);
-                cell.scratch.delivered = true;
+                sink.progress();
             } else {
                 i += 1;
             }
         }
     }
     // Issue.
-    let tile = TileId(cell.tile);
-    let base = cell.tile as usize * cell.cores.len();
+    let tile_id = TileId(tile);
+    let base = tile as usize * cores.len();
     // Remote-port arbitration: accesses leaving the tile go through its
     // limited remote request ports (4 in MemPool); a tile whose ports are
     // taken this cycle stalls further remote issues. Purely tile-local
     // state, so each tile tracks its own grants.
     let mut remote_issued = 0u32;
-    'issue: for local in 0..cell.cores.len() {
+    'issue: for (local, core) in cores.iter_mut().enumerate() {
         let index = base + local;
         let core_id = GlobalCoreId::new(index as u32);
-        let core = &mut cell.cores[local];
         if core.hung() {
             // Latched up by an injected fault: burns cycles forever.
             core.stats.halted_cycles += 1;
@@ -550,16 +617,16 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
             continue;
         }
         let pc = core.pc;
-        if !cell.icache.access(pc) {
+        if !icache.access(pc) {
             let penalty = ctx.params.icache_miss_penalty;
             core.insert_bubble(penalty);
             core.stats.stall_icache += penalty as u64;
             core.stats.icache_misses += 1;
-            cell.scratch.icache_misses += 1;
+            sink.icache_miss();
             continue;
         }
         let Some(instr) = ctx.program.fetch(pc) else {
-            cell.scratch.error = Some((index as u32, SimError::PcOutOfRange { core: core_id, pc }));
+            sink.error(now, tile, SimError::PcOutOfRange { core: core_id, pc });
             break 'issue;
         };
         match core.check_issue(instr, ctx.params.max_outstanding) {
@@ -574,8 +641,8 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
             Ok(()) => {}
         }
         if let Some(addr) = mem_probe_addr(instr, &core.regs) {
-            if let MemoryRegion::Spm(loc) = ctx.storage.map().locate(addr & !3) {
-                if loc.tile != tile {
+            if let MemoryRegion::Spm(loc) = ctx.map.locate(addr & !3) {
+                if loc.tile != tile_id {
                     if remote_issued >= ctx.config.remote_ports_per_tile() {
                         core.stats.stall_structural += 1;
                         continue;
@@ -585,9 +652,9 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
             }
         }
         core.stats.retired += 1;
-        cell.scratch.retired = true;
+        sink.progress();
         if ctx.trace_on {
-            cell.scratch.trace.push(TraceEntry {
+            sink.trace(TraceEntry {
                 cycle: now,
                 core: core_id,
                 pc,
@@ -604,7 +671,7 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
             }
             Issue::Halt => {
                 core.halt();
-                cell.scratch.halts.push(index);
+                sink.halt(now, index as u32);
             }
             Issue::Mem { req, next_pc } => {
                 core.pc = next_pc;
@@ -612,10 +679,10 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
                     MemAccessKind::Load { width, .. } | MemAccessKind::Store { width, .. } => width,
                     MemAccessKind::Amo { .. } => MemWidth::Word,
                 };
-                let region = match ctx.storage.decode(req.addr, width) {
+                let region = match decode_region(ctx.map, req.addr, width) {
                     Ok(region) => region,
                     Err(e) => {
-                        cell.scratch.error = Some((index as u32, e.into()));
+                        sink.error(now, tile, e.into());
                         break 'issue;
                     }
                 };
@@ -624,44 +691,49 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
                         // The destination tile's F2F via carries every
                         // access to that tile's banks on the memory die.
                         let mut extra_req = 0u32;
-                        match ctx.links.state(loc.tile) {
-                            LinkState::Healthy => {}
-                            LinkState::Degraded(extra) => {
-                                cell.scratch.fault_events.push(FaultNote::Retry {
-                                    tile: loc.tile,
-                                    extra,
-                                });
-                                core.insert_bubble(extra);
-                                core.stats.stall_fault_retry += extra as u64;
-                                extra_req = extra;
-                            }
-                            LinkState::Dead => match ctx.links.policy() {
-                                DeadLinkPolicy::Error => {
-                                    cell.scratch.error =
-                                        Some((index as u32, SimError::LinkDead { tile: loc.tile }));
-                                    break 'issue;
-                                }
-                                DeadLinkPolicy::BlackHole => {
-                                    // The request vanishes into the open
-                                    // via; the scoreboard entry is pinned
-                                    // forever.
-                                    cell.scratch.fault_events.push(FaultNote::BlackHole {
+                        if S::LINK_FAULTS {
+                            match ctx.links.state(loc.tile) {
+                                LinkState::Healthy => {}
+                                LinkState::Degraded(extra) => {
+                                    sink.fault_note(FaultNote::Retry {
                                         tile: loc.tile,
-                                        core: index as u32,
+                                        extra,
                                     });
-                                    core.mark_pending(req.kind.response_reg());
-                                    continue;
+                                    core.insert_bubble(extra);
+                                    core.stats.stall_fault_retry += extra as u64;
+                                    extra_req = extra;
                                 }
-                            },
+                                LinkState::Dead => match ctx.links.policy() {
+                                    DeadLinkPolicy::Error => {
+                                        sink.error(
+                                            now,
+                                            tile,
+                                            SimError::LinkDead { tile: loc.tile },
+                                        );
+                                        break 'issue;
+                                    }
+                                    DeadLinkPolicy::BlackHole => {
+                                        // The request vanishes into the
+                                        // open via; the scoreboard entry
+                                        // is pinned forever.
+                                        sink.fault_note(FaultNote::BlackHole {
+                                            tile: loc.tile,
+                                            core: index as u32,
+                                        });
+                                        core.mark_pending(req.kind.response_reg());
+                                        continue;
+                                    }
+                                },
+                            }
                         }
-                        let class = LatencyModel::classify(ctx.config, tile, loc.tile);
+                        let class = LatencyModel::classify(ctx.config, tile_id, loc.tile);
                         core.stats
-                            .record_access(class, ctx.topo.route(tile, loc.tile).network);
+                            .record_access(class, ctx.topo.route(tile_id, loc.tile).network);
                         core.mark_pending(req.kind.response_reg());
                         let (req_lat, resp_lat) = latency_split(&ctx.params.latency, class);
-                        let bank = loc.global_bank(ctx.config);
-                        cell.scratch.bank_pushes.push((
-                            bank.index(),
+                        sink.bank_push(
+                            tile,
+                            loc.global_bank(ctx.config).index(),
                             PendingAccess {
                                 arrival: now + (req_lat + extra_req) as u64,
                                 core: index as u32,
@@ -670,18 +742,22 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
                                 resp_latency: resp_lat,
                                 addr: req.addr,
                             },
-                        ));
+                        );
                     }
                     MemoryRegion::External(_) => {
                         // Word-granular access over the off-chip port,
-                        // serialized (and data-resolved) at commit.
+                        // serialized (and data-resolved) after the tick.
                         core.mark_pending(req.kind.response_reg());
-                        cell.scratch.externals.push(ExternalIntent {
-                            core: index as u32,
-                            addr: req.addr,
-                            kind: req.kind,
-                            width,
-                        });
+                        sink.external(
+                            now,
+                            tile,
+                            ExternalIntent {
+                                core: index as u32,
+                                addr: req.addr,
+                                kind: req.kind,
+                                width,
+                            },
+                        );
                     }
                     MemoryRegion::Unmapped => unreachable!("decode rejects unmapped"),
                 }
@@ -690,26 +766,26 @@ pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
     }
 }
 
-/// Resolves one deferred off-chip access: books the port, moves the data,
-/// and queues the response.
+/// Resolves one deferred off-chip access, shared by the step commit and
+/// the quantum boundary: books the port, moves the data, and queues the
+/// response.
 fn resolve_external(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
+    storage: &mut Storage,
+    offchip: &mut OffchipPort,
     now: u64,
     intent: &ExternalIntent,
     responses: &mut Vec<Response>,
 ) -> Result<(), SimError> {
-    let done = ms.offchip.schedule(now, intent.width.bytes() as u64);
+    let done = offchip.schedule(now, intent.width.bytes() as u64);
     let value = match intent.kind {
-        MemAccessKind::Load { .. } => ph.storage.read(intent.addr, intent.width)?,
+        MemAccessKind::Load { .. } => storage.read(intent.addr, intent.width)?,
         MemAccessKind::Store { value, .. } => {
-            ph.storage.write(intent.addr, intent.width, value)?;
+            storage.write(intent.addr, intent.width, value)?;
             0
         }
         MemAccessKind::Amo { op, value, .. } => {
-            let old = ph.storage.read(intent.addr, MemWidth::Word)?;
-            ph.storage
-                .write(intent.addr, MemWidth::Word, op.apply(old, value))?;
+            let old = storage.read(intent.addr, MemWidth::Word)?;
+            storage.write(intent.addr, MemWidth::Word, op.apply(old, value))?;
             old
         }
     };
@@ -725,18 +801,12 @@ fn resolve_external(
 /// order (trace, bank pushes, off-chip accesses, fault/obs events), then
 /// reports the first error by global core order, runs the watchdog,
 /// advances the clock, and closes a sampling epoch if one is due.
-pub(crate) fn commit_tick(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
+fn commit_tick(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
     let now = *ms.cycle;
-    let mut delivered = false;
-    let mut retired = false;
+    let mut progress = false;
     let mut first_error: Option<SimError> = None;
     for cell in cells.iter_mut() {
-        delivered |= std::mem::take(&mut cell.scratch.delivered);
-        retired |= std::mem::take(&mut cell.scratch.retired);
+        progress |= std::mem::take(&mut cell.scratch.progress);
         for entry in cell.scratch.trace.drain(..) {
             if let Some(trace) = ms.trace.as_mut() {
                 trace.record(entry);
@@ -749,7 +819,13 @@ pub(crate) fn commit_tick(
         let mut tile_error: Option<SimError> = None;
         for intent in cell.scratch.externals.drain(..) {
             let local = intent.core as usize - base;
-            if let Err(e) = resolve_external(ms, ph, now, &intent, &mut cell.responses[local]) {
+            if let Err(e) = resolve_external(
+                ms.storage,
+                ms.offchip,
+                now,
+                &intent,
+                &mut cell.responses[local],
+            ) {
                 // Off-chip intents precede any issue-time error of this
                 // tile in global core order, so the first one wins.
                 if tile_error.is_none() {
@@ -757,7 +833,7 @@ pub(crate) fn commit_tick(
                 }
             }
         }
-        if let Some((_, e)) = cell.scratch.error.take() {
+        if let Some(e) = cell.scratch.error.take() {
             if tile_error.is_none() {
                 tile_error = Some(e);
             }
@@ -799,7 +875,7 @@ pub(crate) fn commit_tick(
     }
     let mut deadlock = None;
     if let Some(watchdog) = ms.watchdog.as_mut() {
-        if delivered || retired {
+        if progress {
             watchdog.note_progress(now);
         } else if watchdog.expired(now) {
             deadlock = Some(watchdog.stalled_for(now));
@@ -825,13 +901,12 @@ pub(crate) fn commit_tick(
         });
     }
     *ms.cycle += 1;
-    ph.now = *ms.cycle;
     if ms
         .sampler
         .as_ref()
         .is_some_and(|sampler| *ms.cycle >= sampler.next_at)
     {
-        sample_epoch(ms, ph, cells);
+        sample_epoch(ms, cells);
     }
     Ok(())
 }
@@ -968,7 +1043,7 @@ pub(crate) fn push_samples(hooks: &ClusterObs, sampler: &Sampler, now: u64, inpu
 
 /// Closes the current sampling epoch: pushes one sample per series and
 /// re-baselines the counters.
-fn sample_epoch(ms: &mut MainState<'_>, ph: &mut PhaseShared<'_>, cells: &[&mut TileCell<'_>]) {
+fn sample_epoch(ms: &mut MainState<'_>, cells: &[TileCell<'_>]) {
     let Some(sampler) = ms.sampler.as_mut() else {
         return;
     };
@@ -978,7 +1053,7 @@ fn sample_epoch(ms: &mut MainState<'_>, ph: &mut PhaseShared<'_>, cells: &[&mut 
         ms.config.cores_per_tile() as usize,
         ms.config.num_tiles() as usize,
         ms.banks,
-        ph.storage,
+        ms.storage,
         ms.offchip,
         now,
     );
@@ -988,155 +1063,27 @@ fn sample_epoch(ms: &mut MainState<'_>, ph: &mut PhaseShared<'_>, cells: &[&mut 
     sampler.rebaseline(inputs, now);
 }
 
-/// Runs the cluster on `threads` host threads until every core halts.
-///
-/// One `thread::scope` covers the whole run. Each tick, the main thread
-/// runs the sequential pre phase under the write side of the phase lock,
-/// releases the workers through the `start` barrier, joins them in
-/// advancing its own contiguous tile range, meets them at the `finish`
-/// barrier, and commits. Workers only ever hold the read side of the
-/// phase lock plus their own tiles' mutexes, so every lock acquisition is
-/// uncontended — the protocol, not the locks, provides exclusion.
-pub(crate) fn run_parallel(
-    cluster: &mut Cluster,
-    max_cycles: u64,
-    threads: usize,
-) -> Result<u64, SimError> {
-    let deadline = cluster.cycle + max_cycles;
-    let (mut ms, ph, mut cells_vec) = split(cluster);
-    // Copies of the immutable context, shareable with the workers.
-    let (config, topo, params, program) = (ms.config, ms.topo, ms.params, ms.program);
-    let trace_on = ms.trace.is_some();
-    let num_tiles = cells_vec.len();
-    let cells: Vec<Mutex<&mut TileCell<'_>>> = cells_vec.iter_mut().map(Mutex::new).collect();
-    let shared = RwLock::new(ph);
-    let stop = AtomicBool::new(false);
-    let start = Barrier::new(threads);
-    let finish = Barrier::new(threads);
-    // Contiguous tile ranges, one per thread; range 0 belongs to the main
-    // thread.
-    let chunk = num_tiles / threads;
-    let rem = num_tiles % threads;
-    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(threads);
-    let mut next = 0usize;
-    for w in 0..threads {
-        let len = chunk + usize::from(w < rem);
-        ranges.push(next..next + len);
-        next += len;
-    }
-    std::thread::scope(|scope| {
-        for range in ranges.iter().skip(1) {
-            let (cells, shared, start, finish, stop) = (&cells, &shared, &start, &finish, &stop);
-            scope.spawn(move || loop {
-                start.wait();
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                {
-                    let ph = shared.read().expect("phase lock");
-                    let ctx = LocalCtx {
-                        config,
-                        topo,
-                        params,
-                        program,
-                        storage: &*ph.storage,
-                        links: &*ph.links,
-                        trace_on,
-                        now: ph.now,
-                    };
-                    for tile in range.clone() {
-                        let mut cell = cells[tile].lock().expect("tile lock");
-                        local_tile(&ctx, &mut cell);
-                    }
-                }
-                finish.wait();
-            });
-        }
-        let my_range = ranges[0].clone();
-        let result = loop {
-            // Sequential window: quiescence/deadline checks + pre phase.
-            {
-                let mut ph = shared.write().expect("phase lock");
-                let mut guards: Vec<_> = cells
-                    .iter()
-                    .map(|cell| cell.lock().expect("tile lock"))
-                    .collect();
-                let mut views: Vec<&mut TileCell<'_>> =
-                    guards.iter_mut().map(|guard| &mut ***guard).collect();
-                if tick_quiescent(ms.banks, &views) {
-                    break Ok(*ms.cycle);
-                }
-                if *ms.cycle >= deadline {
-                    break Err(SimError::Timeout { cycles: max_cycles });
-                }
-                if let Err(e) = pre_tick(&mut ms, &mut ph, &mut views) {
-                    break Err(e);
-                }
-            }
-            // Local phase: all threads, disjoint tile ranges.
-            start.wait();
-            {
-                let ph = shared.read().expect("phase lock");
-                let ctx = LocalCtx {
-                    config,
-                    topo,
-                    params,
-                    program,
-                    storage: &*ph.storage,
-                    links: &*ph.links,
-                    trace_on,
-                    now: ph.now,
-                };
-                for tile in my_range.clone() {
-                    let mut cell = cells[tile].lock().expect("tile lock");
-                    local_tile(&ctx, &mut cell);
-                }
-            }
-            finish.wait();
-            // Sequential window: commit.
-            {
-                let mut ph = shared.write().expect("phase lock");
-                let mut guards: Vec<_> = cells
-                    .iter()
-                    .map(|cell| cell.lock().expect("tile lock"))
-                    .collect();
-                let mut views: Vec<&mut TileCell<'_>> =
-                    guards.iter_mut().map(|guard| &mut ***guard).collect();
-                if let Err(e) = commit_tick(&mut ms, &mut ph, &mut views) {
-                    break Err(e);
-                }
-            }
-        };
-        // Release the workers for their shutdown check.
-        stop.store(true, Ordering::Release);
-        start.wait();
-        result
-    })
-}
-
 // ---------------------------------------------------------------------------
-// The quantum engine: arena-backed, tile-sharded fast path.
+// The quantum engine: arena-backed, tile-sharded multi-worker path.
 // ---------------------------------------------------------------------------
 //
-// `run_parallel` above synchronizes three times per simulated cycle through
-// futex-backed barriers and funnels every bank service through the main
-// thread, which is why the first parallel engine was *slower* than the
-// sequential one. The quantum engine removes both costs for uninstrumented
-// runs (no fault controller, watchdog, trace, flight ring, observability, or
-// sampler attached — [`Cluster::run`] checks eligibility):
+// The step engine funnels every bank service and every commit through one
+// thread per simulated cycle. The quantum engine runs multi-worker runs
+// without fault plans or spare-bank remaps ([`Cluster::run`] checks
+// eligibility) with neither cost:
 //
 // * **Static tile→thread ownership.** Tiles are split into contiguous,
 //   per-worker shards ([`TileShard`]): a worker owns its tiles' cores, I$,
 //   response queues, *banks*, and SPM words outright, so both the bank
-//   service and the local phase run inside the worker with plain `&mut`
+//   service and the tile kernel run inside the worker with plain `&mut`
 //   indexing — no per-tile mutex handoff, no sequential serve.
 // * **Arena-backed mailboxes.** All cross-tile traffic (bank pushes and
 //   responses) flows through preallocated per-tile inboxes double-buffered
 //   by tick parity, reused across ticks and quanta ([`QuantumArena`]). A
 //   sender tags entries with its source tile and the receiver applies them
-//   sorted by that tag, which reproduces the sequential commit's
-//   tile-index drain order exactly — the bank-queue contents evolve
-//   bit-identically at every worker count.
+//   sorted by that tag ([`Inbox::drain_into`]), which reproduces the step
+//   commit's tile-index drain order exactly — the bank-queue contents
+//   evolve bit-identically at every worker count.
 // * **Amortized synchronization.** Workers run in per-tick lockstep via
 //   padded atomic progress counters (spin-then-yield, no futexes) and only
 //   meet the main thread at *quantum* boundaries every `QUANTUM_TICKS`
@@ -1147,10 +1094,10 @@ pub(crate) fn run_parallel(
 //   response is always enqueued before the cycle it is due.
 //
 // Determinism contract: because requests enter every bank queue in the
-// sequential engine's order, responses are delivered by due-cycle (never
-// by queue position), and boundary work happens in `(tick, tile)` order,
-// the quantum engine is bit-identical to `Cluster::step` at any worker
-// count — `tests/engine_equivalence.rs` holds the proof obligations.
+// step engine's order, responses are delivered by due-cycle (never by
+// queue position), and boundary work happens in `(tick, tile)` order, the
+// quantum engine is bit-identical to `Cluster::step` at any worker count —
+// `tests/engine_equivalence.rs` holds the proof obligations.
 
 /// Ticks per quantum when nothing shortens it: large enough to amortize
 /// per-quantum thread spawn and boundary work down to noise, small enough
@@ -1175,14 +1122,32 @@ pub(crate) struct PaddedCounter(AtomicU64);
 
 /// Cross-tile traffic addressed to one tile, double-buffered by tick
 /// parity. Entries are `(source tile, local index, payload)`; the
-/// receiver applies them sorted by source tile, reproducing the
-/// sequential engine's commit drain order.
+/// receiver applies them sorted by source tile, reproducing the step
+/// engine's commit drain order.
 #[derive(Debug, Default)]
 pub(crate) struct Inbox {
     /// Bank-queue pushes: `(src tile, bank index within dest tile, access)`.
     pushes: Vec<(u32, u32, PendingAccess)>,
     /// Responses: `(src tile, core index within dest tile, response)`.
     responses: Vec<(u32, u32, Response)>,
+}
+
+impl Inbox {
+    /// Applies this inbox to its tile's bank queues and response queues
+    /// in source-tile order (a stable sort keeps each sender's own order),
+    /// leaving it empty with its capacity intact.
+    fn drain_into(&mut self, banks: &mut [Bank], responses: &mut [Vec<Response>]) {
+        self.pushes.sort_by_key(|&(src, _, _)| src);
+        for &(_, bank, access) in self.pushes.iter() {
+            banks[bank as usize].queue.push(access);
+        }
+        self.pushes.clear();
+        self.responses.sort_by_key(|&(src, _, _)| src);
+        for &(_, core, response) in self.responses.iter() {
+            responses[core as usize].push(response);
+        }
+        self.responses.clear();
+    }
 }
 
 /// One inbox plus its lock-free "worth locking?" flag. Senders set the
@@ -1196,7 +1161,7 @@ pub(crate) struct InboxSlot {
 
 /// A bank access served on the quantum path, recorded for flight-ring
 /// replay at the boundary. Tagged `(tick, tile)` so the merge across
-/// lanes can restore the sequential engine's global bank-sweep order.
+/// lanes can restore the step engine's global bank-sweep order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemEvent {
     tick: u64,
@@ -1293,6 +1258,63 @@ impl WorkerLane {
     }
 }
 
+/// The quantum engine's [`TileSink`]: a worker lane plus the shared
+/// context it needs to route. Bank pushes go to per-destination-tile
+/// buffers (the canonical order the inboxes restore); off-chip intents
+/// and errors are tagged with their tick and shorten the quantum via
+/// `stop_at`; trace entries, `wfi` span begins, and forward-progress
+/// marks land in the lane's observation buffers for deterministic
+/// boundary replay.
+struct LaneSink<'a> {
+    ctx: &'a QuantumCtx<'a>,
+    lane: &'a mut WorkerLane,
+}
+
+impl TileSink for LaneSink<'_> {
+    const LINK_FAULTS: bool = false;
+
+    fn progress(&mut self) {
+        self.lane.progress = true;
+    }
+
+    fn icache_miss(&mut self) {
+        // Published at the boundary as a delta of the per-core stats.
+    }
+
+    fn trace(&mut self, entry: TraceEntry) {
+        self.lane.trace_out.push(entry);
+    }
+
+    fn halt(&mut self, now: u64, core: u32) {
+        if self.ctx.obs_on {
+            self.lane.halts.push((now, core));
+        }
+    }
+
+    fn error(&mut self, now: u64, tile: u32, error: SimError) {
+        if self.lane.error.is_none() {
+            self.lane.error = Some((now, tile, error));
+            self.ctx.stop_at.fetch_min(now + 1, Ordering::AcqRel);
+        }
+    }
+
+    fn bank_push(&mut self, tile: u32, bank: usize, access: PendingAccess) {
+        let bpt = self.ctx.banks_per_tile;
+        self.lane.push_out[bank / bpt].push((tile, (bank % bpt) as u32, access));
+    }
+
+    fn external(&mut self, now: u64, tile: u32, intent: ExternalIntent) {
+        self.lane.externals.push((now, tile, intent));
+        self.ctx
+            .stop_at
+            .fetch_min(now + self.ctx.ext_hold, Ordering::AcqRel);
+    }
+
+    fn fault_note(&mut self, _note: FaultNote) {
+        unreachable!("fault plans never run on the quantum engine")
+    }
+}
+
 /// All quantum-engine buffers, owned by the cluster so capacity survives
 /// across ticks, quanta, and whole runs (the slab/arena the hot path
 /// reuses instead of allocating).
@@ -1373,12 +1395,13 @@ impl QuantumArena {
 
 /// Immutable context shared by every quantum worker.
 #[derive(Debug)]
-struct BareCtx<'a> {
-    config: &'a ClusterConfig,
-    topo: &'a Topology,
-    params: &'a SimParams,
-    program: &'a Program,
-    map: &'a AddressMap,
+struct QuantumCtx<'a> {
+    /// What the tile kernel reads (its link snapshot is never consulted
+    /// here: [`LaneSink`] compiles the link-fault arms out).
+    kernel: KernelCtx<'a>,
+    /// The tick every worker stops before; shortened by off-chip
+    /// accesses and errors.
+    stop_at: &'a AtomicU64,
     cores_per_tile: usize,
     banks_per_tile: usize,
     bank_words: usize,
@@ -1391,8 +1414,6 @@ struct BareCtx<'a> {
     obs_on: bool,
     /// Whether flight recording is on (record served-access events).
     flight_on: bool,
-    /// Whether instruction tracing is on (record retires).
-    trace_on: bool,
     /// Whether a watchdog is armed (record forward-progress ticks).
     watch: bool,
 }
@@ -1423,35 +1444,17 @@ impl TileShard<'_> {
     }
 }
 
-/// Serves every bank of one tile for tick `now`: earliest arrival
-/// strictly in the past wins, FIFO among ties — the exact discipline of
-/// [`serve_banks`], minus the fault/ECC arms that cannot trigger on the
-/// quantum path. Flight `mem` events go to the lane's observation
-/// buffer, tagged with their tick, and are replayed into the shared ring
-/// in sequential order at the boundary.
-fn serve_tile_bare(ctx: &BareCtx<'_>, shard: &mut TileShard<'_>, lane: &mut WorkerLane, now: u64) {
+/// Serves every bank of one tile for tick `now` with the step engine's
+/// arbitration and word update ([`pick_access`], [`access_word`]) against
+/// the shard's own SPM words; ECC and remap cannot arise here. Flight
+/// `mem` events go to the lane's observation buffer, tagged with their
+/// tick, and are replayed into the shared ring in step order at the
+/// boundary.
+fn serve_tile(ctx: &QuantumCtx<'_>, shard: &mut TileShard<'_>, lane: &mut WorkerLane, now: u64) {
     for bank in shard.banks.iter_mut() {
-        bank.stats.max_queue_depth = bank.stats.max_queue_depth.max(bank.queue.len() as u64);
-        let mut best: Option<usize> = None;
-        let mut contenders = 0;
-        for (i, access) in bank.queue.iter().enumerate() {
-            if access.arrival < now {
-                contenders += 1;
-                let better = match best {
-                    None => true,
-                    Some(b) => access.arrival < bank.queue[b].arrival,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        let Some(index) = best else { continue };
-        if contenders > 1 {
-            bank.stats.conflicts += (contenders - 1) as u64;
-        }
-        let access = bank.queue.swap_remove(index);
-        bank.stats.served += 1;
+        let Some((access, _)) = pick_access(bank, now) else {
+            continue;
+        };
         debug_assert_eq!(access.loc.tile.0, shard.tile, "banks are tile-owned");
         if ctx.flight_on {
             lane.mem_events.push(MemEvent {
@@ -1460,43 +1463,20 @@ fn serve_tile_bare(ctx: &BareCtx<'_>, shard: &mut TileShard<'_>, lane: &mut Work
                 tile: access.loc.tile.0,
                 bank: access.loc.bank.0,
                 word: access.loc.word,
-                kind: match access.kind {
-                    MemAccessKind::Load { .. } => "load",
-                    MemAccessKind::Store { .. } => "store",
-                    MemAccessKind::Amo { .. } => "amo",
-                },
+                kind: kind_name(access.kind),
             });
         }
         let word = access.loc.bank.index() * ctx.bank_words + access.loc.word as usize;
-        let old_word = shard.spm[word];
         lane.touches += 1;
-        let shift = (access.addr & 3) * 8;
-        let response_value = match access.kind {
-            MemAccessKind::Load { width, .. } => match width {
-                MemWidth::Byte => (old_word >> shift) & 0xff,
-                MemWidth::Half => (old_word >> shift) & 0xffff,
-                MemWidth::Word => old_word,
-            },
-            MemAccessKind::Store { width, value } => {
-                let new = match width {
-                    MemWidth::Byte => (old_word & !(0xff << shift)) | ((value & 0xff) << shift),
-                    MemWidth::Half => (old_word & !(0xffff << shift)) | ((value & 0xffff) << shift),
-                    MemWidth::Word => value,
-                };
-                shard.spm[word] = new;
-                lane.touches += 1;
-                0
-            }
-            MemAccessKind::Amo { op, value, .. } => {
-                shard.spm[word] = op.apply(old_word, value);
-                lane.touches += 1;
-                old_word
-            }
-        };
+        let (write, value) = access_word(&access, shard.spm[word]);
+        if let Some(new) = write {
+            shard.spm[word] = new;
+            lane.touches += 1;
+        }
         let response = Response {
             due: now + access.resp_latency as u64,
             reg: access.kind.response_reg(),
-            value: sign_adjust(access.kind, response_value),
+            value,
         };
         let dest_tile = access.core as usize / ctx.cores_per_tile;
         let dest_local = (access.core as usize % ctx.cores_per_tile) as u32;
@@ -1508,183 +1488,12 @@ fn serve_tile_bare(ctx: &BareCtx<'_>, shard: &mut TileShard<'_>, lane: &mut Work
     }
 }
 
-/// The local phase of one tile for tick `now` on the quantum path:
-/// deliver due responses, then issue at most one instruction per core —
-/// the logic of [`local_tile`] minus the fault-link arms that cannot
-/// trigger here. Bank pushes are routed per destination tile (the
-/// canonical order the inboxes restore); off-chip intents land in the
-/// lane's tick-tagged log and shorten the quantum via `stop_at`; trace
-/// entries, `wfi` span begins, and forward-progress marks land in the
-/// lane's observation buffers for deterministic boundary replay.
-fn local_tile_bare(
-    ctx: &BareCtx<'_>,
-    shard: &mut TileShard<'_>,
-    lane: &mut WorkerLane,
-    stop_at: &AtomicU64,
-    now: u64,
-) {
-    for (core, responses) in shard.cores.iter_mut().zip(shard.responses.iter_mut()) {
-        let mut i = 0;
-        while i < responses.len() {
-            if responses[i].due <= now {
-                let r = responses.swap_remove(i);
-                core.complete(r.reg, r.value);
-                lane.progress = true;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    let tile = TileId(shard.tile);
-    let base = shard.tile as usize * ctx.cores_per_tile;
-    let mut remote_issued = 0u32;
-    'issue: for local in 0..shard.cores.len() {
-        let index = base + local;
-        let core_id = GlobalCoreId::new(index as u32);
-        let core = &mut shard.cores[local];
-        if core.hung() {
-            core.stats.halted_cycles += 1;
-            continue;
-        }
-        if core.halted() {
-            core.stats.halted_cycles += 1;
-            continue;
-        }
-        if core.consume_bubble() {
-            continue;
-        }
-        let pc = core.pc;
-        if !shard.icache.access(pc) {
-            let penalty = ctx.params.icache_miss_penalty;
-            core.insert_bubble(penalty);
-            core.stats.stall_icache += penalty as u64;
-            core.stats.icache_misses += 1;
-            continue;
-        }
-        let Some(instr) = ctx.program.fetch(pc) else {
-            if lane.error.is_none() {
-                lane.error = Some((
-                    now,
-                    shard.tile,
-                    SimError::PcOutOfRange { core: core_id, pc },
-                ));
-                stop_at.fetch_min(now + 1, Ordering::AcqRel);
-            }
-            break 'issue;
-        };
-        match core.check_issue(instr, ctx.params.max_outstanding) {
-            Err(Stall::Scoreboard) => {
-                core.stats.stall_scoreboard += 1;
-                continue;
-            }
-            Err(Stall::Structural) => {
-                core.stats.stall_structural += 1;
-                continue;
-            }
-            Ok(()) => {}
-        }
-        if let Some(addr) = mem_probe_addr(instr, &core.regs) {
-            if let MemoryRegion::Spm(loc) = ctx.map.locate(addr & !3) {
-                if loc.tile != tile {
-                    if remote_issued >= ctx.config.remote_ports_per_tile() {
-                        core.stats.stall_structural += 1;
-                        continue;
-                    }
-                    remote_issued += 1;
-                }
-            }
-        }
-        core.stats.retired += 1;
-        lane.progress = true;
-        if ctx.trace_on {
-            lane.trace_out.push(TraceEntry {
-                cycle: now,
-                core: core_id,
-                pc,
-                instr,
-            });
-        }
-        match exec::issue(instr, pc, &mut core.regs, index as u32) {
-            Issue::Next { pc: next } => {
-                if next != pc.wrapping_add(4) && ctx.params.taken_branch_penalty > 0 {
-                    core.insert_bubble(ctx.params.taken_branch_penalty);
-                    core.stats.stall_branch += ctx.params.taken_branch_penalty as u64;
-                }
-                core.pc = next;
-            }
-            Issue::Halt => {
-                core.halt();
-                if ctx.obs_on {
-                    lane.halts.push((now, index as u32));
-                }
-            }
-            Issue::Mem { req, next_pc } => {
-                core.pc = next_pc;
-                let width = match req.kind {
-                    MemAccessKind::Load { width, .. } | MemAccessKind::Store { width, .. } => width,
-                    MemAccessKind::Amo { .. } => MemWidth::Word,
-                };
-                let region = match decode_region(ctx.map, req.addr, width) {
-                    Ok(region) => region,
-                    Err(e) => {
-                        if lane.error.is_none() {
-                            lane.error = Some((now, shard.tile, e.into()));
-                            stop_at.fetch_min(now + 1, Ordering::AcqRel);
-                        }
-                        break 'issue;
-                    }
-                };
-                match region {
-                    MemoryRegion::Spm(loc) => {
-                        let class = LatencyModel::classify(ctx.config, tile, loc.tile);
-                        core.stats
-                            .record_access(class, ctx.topo.route(tile, loc.tile).network);
-                        core.mark_pending(req.kind.response_reg());
-                        let (req_lat, resp_lat) = latency_split(&ctx.params.latency, class);
-                        let bank = loc.global_bank(ctx.config);
-                        let dest_tile = bank.index() / ctx.banks_per_tile;
-                        let bank_local = (bank.index() % ctx.banks_per_tile) as u32;
-                        lane.push_out[dest_tile].push((
-                            shard.tile,
-                            bank_local,
-                            PendingAccess {
-                                arrival: now + req_lat as u64,
-                                core: index as u32,
-                                loc,
-                                kind: req.kind,
-                                resp_latency: resp_lat,
-                                addr: req.addr,
-                            },
-                        ));
-                    }
-                    MemoryRegion::External(_) => {
-                        core.mark_pending(req.kind.response_reg());
-                        lane.externals.push((
-                            now,
-                            shard.tile,
-                            ExternalIntent {
-                                core: index as u32,
-                                addr: req.addr,
-                                kind: req.kind,
-                                width,
-                            },
-                        ));
-                        stop_at.fetch_min(now + ctx.ext_hold, Ordering::AcqRel);
-                    }
-                    MemoryRegion::Unmapped => unreachable!("decode rejects unmapped"),
-                }
-            }
-        }
-    }
-}
-
 /// One worker's quantum: lockstepped ticks from `start` until the shared
 /// stop tick, over its owned shards.
 #[allow(clippy::too_many_arguments)]
 fn quantum_worker(
-    ctx: &BareCtx<'_>,
+    ctx: &QuantumCtx<'_>,
     progress: &[PaddedCounter],
-    stop_at: &AtomicU64,
     inboxes: &[[InboxSlot; 2]],
     shards: &mut [TileShard<'_>],
     lane: &mut WorkerLane,
@@ -1736,33 +1545,37 @@ fn quantum_worker(
                 lane.prof_wait_ns += wait_start.elapsed().as_nanos() as u64;
             }
         }
-        if t >= stop_at.load(Ordering::Acquire) {
+        if t >= ctx.stop_at.load(Ordering::Acquire) {
             break;
         }
         // Apply last tick's cross-tile traffic in canonical source order.
         for shard in shards.iter_mut() {
             let slot = &inboxes[shard.tile as usize][(t & 1) as usize];
             if slot.nonempty.swap(false, Ordering::AcqRel) {
-                let mut inbox = slot.data.lock().expect("inbox lock");
-                inbox.pushes.sort_by_key(|&(src, _, _)| src);
-                for &(_, bank, access) in inbox.pushes.iter() {
-                    shard.banks[bank as usize].queue.push(access);
-                }
-                inbox.pushes.clear();
-                inbox.responses.sort_by_key(|&(src, _, _)| src);
-                for &(_, core, response) in inbox.responses.iter() {
-                    shard.responses[core as usize].push(response);
-                }
-                inbox.responses.clear();
+                slot.data
+                    .lock()
+                    .expect("inbox lock")
+                    .drain_into(shard.banks, shard.responses);
             }
         }
-        // Serve own banks, then run the local phase, tile-ascending.
+        // Serve own banks, then run the tile kernel, tile-ascending.
         for shard in shards.iter_mut() {
-            serve_tile_bare(ctx, shard, lane, t);
+            serve_tile(ctx, shard, lane, t);
         }
         let mut all_inert = true;
         for shard in shards.iter_mut() {
-            local_tile_bare(ctx, shard, lane, stop_at, t);
+            local_tile(
+                &ctx.kernel,
+                t,
+                shard.tile,
+                shard.cores,
+                shard.icache,
+                shard.responses,
+                &mut LaneSink {
+                    ctx,
+                    lane: &mut *lane,
+                },
+            );
             all_inert &= shard.inert();
         }
         // Record forward progress for the watchdog replay (the flag is
@@ -1804,36 +1617,6 @@ fn quantum_worker(
     lane.prof_total_ns += lane_start.elapsed().as_nanos() as u64;
 }
 
-/// Resolves one deferred off-chip access at the quantum boundary —
-/// [`resolve_external`] against the reassembled cluster.
-fn resolve_external_bare(
-    storage: &mut Storage,
-    offchip: &mut OffchipPort,
-    tick: u64,
-    intent: &ExternalIntent,
-    responses: &mut Vec<Response>,
-) -> Result<(), SimError> {
-    let done = offchip.schedule(tick, intent.width.bytes() as u64);
-    let value = match intent.kind {
-        MemAccessKind::Load { .. } => storage.read(intent.addr, intent.width)?,
-        MemAccessKind::Store { value, .. } => {
-            storage.write(intent.addr, intent.width, value)?;
-            0
-        }
-        MemAccessKind::Amo { op, value, .. } => {
-            let old = storage.read(intent.addr, MemWidth::Word)?;
-            storage.write(intent.addr, MemWidth::Word, op.apply(old, value))?;
-            old
-        }
-    };
-    responses.push(Response {
-        due: done,
-        reg: intent.kind.response_reg(),
-        value: sign_adjust(intent.kind, value),
-    });
-    Ok(())
-}
-
 /// Runs one quantum: shards the cluster, drives the workers, then does
 /// the boundary work (inbox flush, off-chip resolution, error selection,
 /// touch merge, quiescence rollback). Returns `Ok(true)` when the
@@ -1873,6 +1656,7 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
             icaches,
             banks,
             responses,
+            links,
             quantum,
             ..
         } = &mut *cluster;
@@ -1880,12 +1664,17 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
         let bpt = config.banks_per_tile() as usize;
         let bank_words = config.bank_words() as usize;
         let (spm, map) = storage.split_spm();
-        let ctx = BareCtx {
-            config,
-            topo,
-            params,
-            program,
-            map,
+        let ctx = QuantumCtx {
+            kernel: KernelCtx {
+                config,
+                topo,
+                params,
+                program,
+                map,
+                links,
+                trace_on,
+            },
+            stop_at: &stop_at,
             cores_per_tile: cpt,
             banks_per_tile: bpt,
             bank_words,
@@ -1893,7 +1682,6 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
             ext_hold: (params.offchip_latency as u64).max(1),
             obs_on,
             flight_on,
-            trace_on,
             watch,
         };
         let mut shards: Vec<TileShard<'_>> = cores
@@ -1923,11 +1711,11 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
         for counter in progress.iter().take(workers) {
             counter.0.store(start, Ordering::Relaxed);
         }
-        // Contiguous shard ranges, one per worker (same split as
-        // `run_parallel`); lane 0 runs on the calling thread.
+        // Contiguous shard ranges, one per worker; lane 0 runs on the
+        // calling thread.
         let chunk = num_tiles / workers;
         let rem = num_tiles % workers;
-        let (ctx, progress, inboxes, stop_at) = (&ctx, &progress[..], &inboxes[..], &stop_at);
+        let (ctx, progress, inboxes) = (&ctx, &progress[..], &inboxes[..]);
         std::thread::scope(|scope| {
             let mut rest = shards.as_mut_slice();
             let mut lanes_iter = lanes.iter_mut();
@@ -1941,17 +1729,13 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
                     lane_zero = Some((mine, lane));
                 } else {
                     scope.spawn(move || {
-                        quantum_worker(
-                            ctx, progress, stop_at, inboxes, mine, lane, w, workers, start,
-                        );
+                        quantum_worker(ctx, progress, inboxes, mine, lane, w, workers, start);
                     });
                 }
             }
             // The calling thread is worker 0.
             let (mine, lane) = lane_zero.expect("worker 0");
-            quantum_worker(
-                ctx, progress, stop_at, inboxes, mine, lane, 0, workers, start,
-            );
+            quantum_worker(ctx, progress, inboxes, mine, lane, 0, workers, start);
         });
     }
     let round_ns = round_start.elapsed().as_nanos() as u64;
@@ -2018,17 +1802,10 @@ fn quantum_boundary(
         for (tile, pair) in quantum.inboxes.iter_mut().enumerate() {
             for slot in pair.iter_mut() {
                 slot.nonempty.store(false, Ordering::Relaxed);
-                let inbox = slot.data.get_mut().expect("inbox lock");
-                inbox.pushes.sort_by_key(|&(src, _, _)| src);
-                for &(_, bank, access) in inbox.pushes.iter() {
-                    banks[tile * bpt + bank as usize].queue.push(access);
-                }
-                inbox.pushes.clear();
-                inbox.responses.sort_by_key(|&(src, _, _)| src);
-                for &(_, core, response) in inbox.responses.iter() {
-                    responses[tile * cpt + core as usize].push(response);
-                }
-                inbox.responses.clear();
+                slot.data.get_mut().expect("inbox lock").drain_into(
+                    &mut banks[tile * bpt..][..bpt],
+                    &mut responses[tile * cpt..][..cpt],
+                );
             }
         }
         // Resolve deferred off-chip accesses in (tick, tile) order — the
@@ -2055,7 +1832,7 @@ fn quantum_boundary(
         }
         ext.sort_by_key(|&(tick, tile, _)| (tick, tile));
         for (tick, tile, intent) in ext.iter() {
-            if let Err(e) = resolve_external_bare(
+            if let Err(e) = resolve_external(
                 storage,
                 offchip,
                 *tick,

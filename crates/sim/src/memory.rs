@@ -272,10 +272,11 @@ pub struct Storage {
     external: ExternalMem,
     /// SPM words read or written so far (core accesses and DMA word
     /// traffic alike) — the time-series sampler reads this per epoch.
-    /// Atomic (not `Cell`) so `&Storage` is `Sync` and the phased-tick
-    /// engine can share read-only storage views across host threads; all
-    /// mutating accesses stay confined to the sequential barrier phase, so
-    /// the count remains deterministic.
+    /// Atomic (not `Cell`) so `&Storage` stays `Sync`. Only one thread
+    /// ever touches it at a time: the step engine's sequential phases, or
+    /// the quantum engine's boundary, which folds in the workers' own
+    /// counts ([`Storage::add_touches`]). The count is therefore
+    /// deterministic.
     touches: AtomicU64,
 }
 

@@ -8,8 +8,8 @@ use mempool_arch::LatencyModel;
 /// cache key (`mempool-serve`): bump it whenever a change alters simulated
 /// timing or artifact contents, so stale cached results are invalidated
 /// instead of replayed. The host-thread count is deliberately *not* part of
-/// the version — the phased-tick engine is bit-identical at any thread
-/// count, so results are shareable across `--threads` settings.
+/// the version — the step and quantum engines are bit-identical at any
+/// thread count, so results are shareable across `--threads` settings.
 pub const ENGINE_VERSION: &str = "mempool-sim/v1-phased-tick";
 
 /// Process-wide default for [`SimParams::threads`], consulted by
@@ -73,11 +73,12 @@ pub struct SimParams {
     /// a single-bit error on a bank read — only observable in
     /// fault-injection runs.
     pub ecc_correction_penalty: u32,
-    /// Host threads driving the phased-tick engine. `1` (the default) runs
-    /// the purely sequential engine; `N > 1` advances tile-local state on
-    /// `N` host threads with a deterministic commit barrier, producing
-    /// bit-identical results. Purely a host-side knob: it never changes
-    /// simulated timing.
+    /// Host threads a run may use. `1` (the default) runs the sequential
+    /// step loop; `N > 1` runs the quantum engine (tile shards on `N` host
+    /// threads in lockstep quanta), except that fault-plan and spare-bank
+    /// runs stay on the step loop. Both engines produce bit-identical
+    /// results. Purely a host-side knob: it never changes simulated
+    /// timing.
     pub threads: usize,
 }
 
@@ -94,8 +95,8 @@ impl SimParams {
     /// A 64-bit FNV-1a digest over every *timing-relevant* field in a
     /// fixed canonical order, seeded with [`ENGINE_VERSION`]. Two
     /// parameter sets that simulate identically hash identically — in
-    /// particular [`SimParams::threads`] is excluded, because the
-    /// phased-tick engine is bit-identical at any host-thread count. The
+    /// particular [`SimParams::threads`] is excluded, because both
+    /// engines are bit-identical at any host-thread count. The
     /// experiment service uses this digest as part of its
     /// content-addressed cache key, so semantically equal configs (however
     /// they were spelled or defaulted) dedupe, and an engine-version bump

@@ -1,14 +1,15 @@
-//! Cross-engine equivalence: the phased-tick parallel engine must be
-//! **bit-identical** to the sequential engine at every thread count.
+//! Cross-engine equivalence: a run at any thread count must be
+//! **bit-identical** to the sequential step loop.
 //!
-//! `SimParams::threads` is a pure host-side knob — it chooses how many
-//! host threads advance tile-local state between the deterministic
-//! commit barriers, and nothing else. These tests pin that contract:
-//! every kernel in the characterization zoo, a seed-42 fault-injected
-//! degraded run, the sampled time series, the cycle-attribution report,
-//! the pinned benchmark summary, and even the exact `SimError` raised by
-//! a watchdog-detected deadlock must not change when the engine goes
-//! parallel.
+//! `SimParams::threads` is a pure host-side knob — it chooses between
+//! the sequential step loop and the quantum engine (tile shards on host
+//! threads), and how many threads the latter uses, and nothing else.
+//! Fault-plan runs stay on the step loop at any thread count. These
+//! tests pin that contract: every kernel in the characterization zoo, a
+//! seed-42 fault-injected degraded run, the sampled time series, the
+//! cycle-attribution report, the pinned benchmark summary, and even the
+//! exact `SimError` raised by a watchdog-detected deadlock must not
+//! change with the thread count.
 
 use mempool_arch::{ClusterConfig, TileId};
 use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
@@ -245,8 +246,8 @@ fn bench_summary_is_bit_identical_across_engines() {
 // ---------------------------------------------------------------------
 // Quantum-engine equivalence: *bare* runs (no obs/faults/trace) dispatch
 // to the arena-backed quantum engine whenever more than one effective
-// worker is available. Its contract is the same as the phased-tick
-// engine's, proven against the sequential step-loop reference: same
+// worker is available. Its contract is proven against the sequential
+// step-loop reference: same
 // cycles, same stats digest, same errors — at any worker count, through
 // timeouts, and with cross-tile, contended-AMO, and off-chip traffic in
 // flight at quantum boundaries. `force_oversubscribe` makes the runs
@@ -429,7 +430,7 @@ fn quantum_errors_match_the_step_loop() {
     // No Wfi: every core runs off the end of the program, and the engine
     // must report the same PcOutOfRange error at the same cycle with the
     // same stats as the sequential loop.
-    let program = Program::new(vec![
+    let run_off_the_end = Program::new(vec![
         Instr::OpImm {
             op: AluOp::Add,
             rd: Reg::new(5),
@@ -443,19 +444,109 @@ fn quantum_errors_match_the_step_loop() {
             offset: 128,
         },
     ]);
-    let mut reference = bare(1, &program);
-    let ref_err = reference.run(1_000_000).expect_err("runs off the program");
-    let ref_cycle = reference.cycle();
-    for workers in QUANTUM_WORKERS {
-        let mut cluster = bare(workers, &program);
-        let err = cluster.run(1_000_000).expect_err("runs off the program");
-        assert_eq!(err, ref_err, "error must match at {workers} workers");
-        assert_eq!(
-            cluster.cycle(),
-            ref_cycle,
-            "the clock must stop on the erroring cycle at {workers} workers"
+    // A decode error mid-run: every core streams SPM loads and stores for
+    // 20 trips, but core 11 (the second core of tile 5) issues a
+    // misaligned load on its tenth trip while the other tiles keep
+    // issuing. The tile kernel's decode-error arm must stop the run on
+    // the same cycle with the same error and stats on both engines.
+    let decode_error = Program::new(vec![
+        Instr::Csrrs {
+            rd: Reg::new(1),
+            csr: CSR_MHARTID,
+            rs1: Reg::ZERO,
+        },
+        Instr::OpImm {
+            op: AluOp::Sll,
+            rd: Reg::new(1),
+            rs1: Reg::new(1),
+            imm: 2,
+        },
+        Instr::OpImm {
+            op: AluOp::Add,
+            rd: Reg::new(31),
+            rs1: Reg::ZERO,
+            imm: 20,
+        },
+        // r30 = the faulting core's r1 (hartid 11 * 4).
+        Instr::OpImm {
+            op: AluOp::Add,
+            rd: Reg::new(30),
+            rs1: Reg::ZERO,
+            imm: 44,
+        },
+        Instr::OpImm {
+            op: AluOp::Add,
+            rd: Reg::new(29),
+            rs1: Reg::ZERO,
+            imm: 10,
+        },
+        // Loop body.
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: Reg::new(11),
+            rs1: Reg::new(1),
+            offset: 64,
+        },
+        Instr::Store {
+            op: StoreOp::Sw,
+            rs2: Reg::new(11),
+            rs1: Reg::new(1),
+            offset: 256,
+        },
+        Instr::OpImm {
+            op: AluOp::Add,
+            rd: Reg::new(31),
+            rs1: Reg::new(31),
+            imm: -1,
+        },
+        Instr::Branch {
+            op: BranchOp::Bne,
+            rs1: Reg::new(1),
+            rs2: Reg::new(30),
+            offset: 12,
+        },
+        Instr::Branch {
+            op: BranchOp::Bne,
+            rs1: Reg::new(31),
+            rs2: Reg::new(29),
+            offset: 8,
+        },
+        Instr::Load {
+            op: LoadOp::Lw,
+            rd: Reg::new(12),
+            rs1: Reg::ZERO,
+            offset: 2,
+        },
+        Instr::Branch {
+            op: BranchOp::Bne,
+            rs1: Reg::new(31),
+            rs2: Reg::ZERO,
+            offset: -24,
+        },
+        Instr::Wfi,
+    ]);
+    for (program, expected) in [
+        (run_off_the_end, "PcOutOfRange"),
+        (decode_error, "Memory(Misaligned"),
+    ] {
+        let mut reference = bare(1, &program);
+        let ref_err = reference.run(1_000_000).expect_err("runs off the program");
+        assert!(
+            format!("{ref_err:?}").starts_with(expected),
+            "expected a {expected} error, got {ref_err:?}"
         );
-        assert_eq!(cluster.stats().digest(), reference.stats().digest());
+        let ref_cycle = reference.cycle();
+        for workers in QUANTUM_WORKERS {
+            let mut cluster = bare(workers, &program);
+            let err = cluster.run(1_000_000).expect_err("runs off the program");
+            assert_eq!(err, ref_err, "error must match at {workers} workers");
+            assert_eq!(
+                cluster.cycle(),
+                ref_cycle,
+                "the clock must stop on the erroring cycle at {workers} workers"
+            );
+            assert_eq!(cluster.stats().digest(), reference.stats().digest());
+        }
     }
 }
 
