@@ -30,6 +30,29 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// The pinned fault seed, matching the committed baseline scenario.
 const FAULT_SEED: u64 = 42;
 
+/// The seed-42 degraded run as `(cycles, digest, FNV-1a of the flight,
+/// trace, time-series and fault-report strings)`, recorded before the
+/// step engine applied side effects in place.
+const SEED42_PINNED: (u64, u64, u64, u64, u64, u64) = (
+    31_413,
+    0xaa8d_5c36_b147_d302,
+    0x3cbd_c594_4dbc_a3de,
+    0x8271_01ce_bef5_0b60,
+    0x91b0_44ca_d9ee_0c41,
+    0x9d8f_aa27_e374_f0f4,
+);
+
+/// The black-hole deadlock as `(stalled_for, clock at the error)`,
+/// recorded with [`SEED42_PINNED`].
+const DEADLOCK_PINNED: (u64, u64) = (64, 67);
+
+/// 64-bit FNV-1a over a string's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 fn zoo_config() -> ClusterConfig {
     ClusterConfig::builder()
         .groups(1)
@@ -153,6 +176,19 @@ fn seed42_fault_injected_run_is_bit_identical_at_every_thread_count() {
         report.contains("\"injected\""),
         "report should summarize injections: {report}"
     );
+    // Every thread count takes the step loop here, so comparing legs
+    // alone would only compare that loop with itself: pin the run to
+    // constants recorded before the step engine applied side effects in
+    // place.
+    let pinned = (
+        reference.cycles,
+        reference.digest,
+        fnv1a(&reference.flight),
+        fnv1a(&reference.trace),
+        fnv1a(&reference.timeseries),
+        fnv1a(report),
+    );
+    assert_eq!(pinned, SEED42_PINNED, "the degraded run moved");
     for threads in THREAD_COUNTS {
         let candidate = observe(&kernel, threads, Some(&plan), Some(2_000_000));
         assert_eq!(
@@ -167,7 +203,7 @@ fn watchdog_deadlock_raises_the_identical_error_at_every_thread_count() {
     // Core 0 waits forever on a load swallowed by a black-holing dead
     // link; the watchdog must fire on the same cycle with the same
     // per-core diagnostics regardless of engine.
-    let run_once = |threads: usize| -> SimError {
+    let run_once = |threads: usize| -> (SimError, u64) {
         let cfg = zoo_config();
         let remote = {
             let probe = Cluster::new(cfg.clone(), params(1));
@@ -193,14 +229,25 @@ fn watchdog_deadlock_raises_the_identical_error_at_every_thread_count() {
             .unwrap(),
         );
         cluster.preload_icaches();
-        cluster.run(100_000).unwrap_err()
+        let err = cluster.run(100_000).unwrap_err();
+        (err, cluster.cycle())
     };
     let reference = run_once(1);
-    let SimError::Deadlock { diagnostics, .. } = &reference else {
-        panic!("expected a deadlock, got {reference}");
+    let SimError::Deadlock {
+        stalled_for,
+        diagnostics,
+    } = &reference.0
+    else {
+        panic!("expected a deadlock, got {}", reference.0);
     };
     assert_eq!(diagnostics.len(), 16);
     assert_eq!(diagnostics[0].condition(), "waiting-on-memory");
+    // Pinned like the seed-42 run: every leg takes the step loop.
+    assert_eq!(
+        (*stalled_for, reference.1),
+        DEADLOCK_PINNED,
+        "the deadlock moved"
+    );
     for threads in THREAD_COUNTS {
         assert_eq!(
             reference,
