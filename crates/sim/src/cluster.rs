@@ -1039,7 +1039,7 @@ impl Cluster {
         }
         // One worker, or a fault plan / spare-bank remap at any worker
         // count: the sequential step loop.
-        let deadline = self.cycle + max_cycles;
+        let deadline = self.cycle.saturating_add(max_cycles);
         while !self.quiescent() {
             if self.cycle >= deadline {
                 return Err(SimError::Timeout { cycles: max_cycles });

@@ -473,6 +473,32 @@ fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
 }
 
 #[test]
+fn an_unbounded_budget_after_a_timeout_finishes_the_run() {
+    // `run(u64::MAX)` once the clock is past 0 must saturate the
+    // deadline, not overflow it, on both engines.
+    let program = quantum_traffic(40, true);
+    let mut unbroken = bare(1, &program);
+    let cycles = unbroken.run(1_000_000).expect("completes");
+    let digest = unbroken.stats().digest();
+    for workers in [1, 2] {
+        let mut cluster = bare(workers, &program);
+        assert_eq!(
+            cluster.run(10).expect_err("budget is too small"),
+            SimError::Timeout { cycles: 10 }
+        );
+        let resumed = cluster
+            .run(u64::MAX)
+            .unwrap_or_else(|e| panic!("an unbounded budget failed at {workers} workers: {e}"));
+        assert_eq!(resumed, cycles, "cycles at {workers} workers");
+        assert_eq!(
+            cluster.stats().digest(),
+            digest,
+            "digest at {workers} workers"
+        );
+    }
+}
+
+#[test]
 fn quantum_errors_match_the_step_loop() {
     // No Wfi: every core runs off the end of the program, and the engine
     // must report the same PcOutOfRange error at the same cycle with the
