@@ -16,9 +16,9 @@
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
-//! * engine scratch buffers and the per-tick link snapshot — drained empty
-//!   / rebuilt at every tick boundary, so they are always empty between
-//!   `step()` calls;
+//! * engine buffers (the step engine's off-chip intents, the quantum
+//!   engine's arena) — they carry no simulated state between `step()`
+//!   calls or quantum boundaries;
 //! * observability attachments (metrics, spans, time-series contents,
 //!   flight ring, instruction trace) — measurement, not simulated state;
 //!   callers re-attach and re-arm them after restoring (the sampler's

@@ -34,13 +34,13 @@ use mempool_isa::{Program, Reg};
 use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs, TrackId};
 
 use crate::core::Core;
-use crate::engine::{self, LinkSnapshot, SampleInputs, TileScratch};
+use crate::engine::{self, ExternalIntent, SampleInputs};
 use crate::icache::ICache;
 use crate::memory::{MemoryError, Storage};
 use crate::offchip::OffchipPort;
 use crate::params::SimParams;
 use crate::stats::{BankStats, ClusterStats};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEntry};
 
 /// Error raised by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,8 +196,8 @@ pub(crate) struct Response {
 
 /// Observability attachment: shared handle plus the tracks and counters
 /// this cluster records into (see [`Cluster::attach_obs`]). `Rc`-based
-/// and therefore confined to the main thread — the engine only touches it
-/// from the sequential phases.
+/// and therefore confined to the calling thread — the step engine runs
+/// there, and the quantum engine touches it only at its boundaries.
 #[derive(Debug)]
 pub(crate) struct ClusterObs {
     pub(crate) obs: Obs,
@@ -298,11 +298,10 @@ pub struct Cluster {
     /// Whether cluster events mirror into the obs flight ring
     /// (armed by [`Cluster::enable_flight`]).
     pub(crate) flight_enabled: bool,
-    /// Per-tile deferred-side-effect buffers for the step engine's local
-    /// phase (drained empty by its commit at the end of every tick).
-    pub(crate) scratches: Vec<TileScratch>,
-    /// Per-tick F2F link-health snapshot for the engine's local phase.
-    pub(crate) links: LinkSnapshot,
+    /// The step engine's off-chip intents for the tile it is stepping,
+    /// resolved right after that tile's kernel call: empty between
+    /// ticks, kept here so its capacity is reused.
+    pub(crate) step_externals: Vec<ExternalIntent>,
     /// Preallocated buffers for the quantum engine's hot path (mailboxes,
     /// worker lanes, boundary scratch), reused across ticks and runs.
     pub(crate) quantum: engine::QuantumArena,
@@ -349,8 +348,7 @@ impl Cluster {
             watchdog: None,
             sampler: None,
             flight_enabled: false,
-            scratches: (0..num_tiles).map(|_| TileScratch::default()).collect(),
-            links: LinkSnapshot::default(),
+            step_externals: Vec::new(),
             quantum: engine::QuantumArena::default(),
             oversubscribe: false,
         }
@@ -513,25 +511,34 @@ impl Cluster {
     }
 
     /// The flight ring to record into, when flight recording is on.
-    fn flight_handle(&self) -> Option<FlightRecorder> {
+    pub(crate) fn flight_handle(&self) -> Option<FlightRecorder> {
         if !self.flight_enabled {
             return None;
         }
         self.obs.as_ref().map(|hooks| hooks.obs.flight.clone())
     }
 
-    /// Collects the time-series sampling snapshot at `now` (see
-    /// [`engine::collect_samples`]).
+    /// Collects the time-series sampling snapshot at `now`: counter
+    /// totals, not deltas (the sampler holds the baselines).
     pub(crate) fn sample_inputs(&self, now: u64) -> SampleInputs {
-        engine::collect_samples(
-            self.cores.iter(),
-            self.config.cores_per_tile() as usize,
-            self.config.num_tiles() as usize,
-            &self.banks,
-            &self.storage,
-            &self.offchip,
-            now,
-        )
+        let cpt = self.config.cores_per_tile() as usize;
+        let mut inputs = SampleInputs {
+            retired_per_tile: vec![0u64; self.config.num_tiles() as usize],
+            ..SampleInputs::default()
+        };
+        for (i, core) in self.cores.iter().enumerate() {
+            inputs.retired_per_tile[i / cpt] += core.stats.retired;
+            inputs.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
+            inputs.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
+                + core.stats.accesses[AccessClass::Remote as usize];
+            inputs.outstanding += u64::from(core.outstanding());
+        }
+        inputs.conflicts = self.banks.iter().map(|b| b.stats.conflicts).sum();
+        inputs.offchip_bytes = self.offchip.total_bytes();
+        inputs.spm_touches = self.storage.spm_word_touches();
+        inputs.backlog = self.offchip.backlog(now);
+        inputs.peak_bytes_per_cycle = self.offchip.bytes_per_cycle() as f64;
+        inputs
     }
 
     /// Pushes one sample per series for the window ending at `now`, with
@@ -671,7 +678,33 @@ impl Cluster {
     /// diagnostics). When instruction tracing is enabled, each snapshot
     /// carries the core's last few retired instructions.
     pub fn core_diagnostics(&self) -> Vec<CoreDiagnostic> {
-        engine::core_diagnostics_from(self.cores.iter(), self.trace.as_ref())
+        self.cores
+            .iter()
+            .enumerate()
+            .map(|(i, core)| {
+                let recent = self
+                    .trace
+                    .as_ref()
+                    .map(|trace| {
+                        let lines: Vec<String> = trace
+                            .for_core(GlobalCoreId::new(i as u32))
+                            .map(TraceEntry::to_string)
+                            .collect();
+                        let keep = lines.len().saturating_sub(DIAGNOSTIC_RECENT_WINDOW);
+                        lines[keep..].to_vec()
+                    })
+                    .unwrap_or_default();
+                CoreDiagnostic {
+                    core: i as u32,
+                    pc: core.pc,
+                    halted: core.halted(),
+                    hung: core.hung(),
+                    outstanding: core.outstanding(),
+                    retired: core.stats.retired,
+                    recent,
+                }
+            })
+            .collect()
     }
 
     /// Watchdog hook for clock jumps outside `step()` (DMA, resume): the
@@ -1051,10 +1084,11 @@ impl Cluster {
 
     /// Whether a multi-worker [`Cluster::run`] may take the quantum
     /// engine. Fault plans (timed faults, ECC, link state) and spare-bank
-    /// remaps hook the step engine's per-tick pre and commit phases, which
-    /// the quantum engine batches away, so those runs stay on the
-    /// sequential step loop at any thread count; every observability
-    /// facility rides the quantum engine's shard-local observation lanes.
+    /// remaps act on the step engine's bank service and per-access link
+    /// checks, which the quantum engine's shards do not carry, so those
+    /// runs stay on the sequential step loop at any thread count; every
+    /// observability facility rides the quantum engine's shard-local
+    /// observation lanes.
     fn quantum_eligible(&self) -> bool {
         self.faults.is_none() && self.storage.spares_per_tile() == 0
     }
@@ -1226,8 +1260,8 @@ impl Cluster {
 /// short stable strings meant for artifacts and logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSelection {
-    /// `"quantum"` (lockstep shard quanta) or `"step"` (per-tick phased
-    /// commit, always sequential).
+    /// `"quantum"` (lockstep shard quanta) or `"step"` (one thread,
+    /// effects applied in place in tile order).
     pub engine: &'static str,
     /// Why that engine was (or will be) chosen.
     pub reason: &'static str,
@@ -1284,7 +1318,7 @@ pub fn planned_engine(threads: usize, faulted: bool) -> EngineSelection {
 
 /// How many of a core's most recent retired instructions a
 /// [`CoreDiagnostic`] carries (when tracing is enabled).
-pub(crate) const DIAGNOSTIC_RECENT_WINDOW: usize = 8;
+const DIAGNOSTIC_RECENT_WINDOW: usize = 8;
 
 /// Splits a zero-load latency into request and response halves around the
 /// single bank-service cycle.

@@ -4,22 +4,26 @@
 //! its banks (at most one request per bank), delivers its cores' due
 //! responses, and issues at most one instruction per core. The issue
 //! half is [`local_tile`], a single kernel generic over a [`TileSink`]
-//! that receives every side effect the tile may not apply itself (bank
-//! pushes to other tiles, off-chip accesses, trace entries, `wfi` span
-//! begins, errors). Bank service shares [`pick_access`] and
+//! that receives every side effect beyond the tile's own cores and I$
+//! (bank pushes, off-chip accesses, trace entries, link-fault notes,
+//! `wfi` span begins, errors). Bank service shares [`pick_access`] and
 //! [`access_word`] the same way. Two engines drive that work:
 //!
 //! * **The step engine** ([`step`], looped by [`Cluster::run`] at one
-//!   worker) splits a cycle into three phases:
-//!   1. *pre* — timed faults are applied, every bank serves at most one
-//!      request (with ECC and spare remap), and the per-tick link-health
-//!      snapshot is refreshed;
-//!   2. *local* — each tile runs the kernel into its [`TileScratch`],
-//!      reading only immutable context (config, topology, program, the
-//!      address map, and the link snapshot);
-//!   3. *commit* — scratch buffers are drained in tile-index order, then
-//!      the watchdog, clock, and time-series sampling advance.
+//!   worker) runs a cycle in order on the calling thread:
+//!   1. timed faults are applied, then every bank serves at most one
+//!      request (with ECC and spare remap);
+//!   2. each tile, in index order, runs the kernel into a [`StepSink`],
+//!      which applies every effect in place as the kernel emits it; the
+//!      tile's off-chip accesses are resolved right after its kernel
+//!      call;
+//!   3. the lowest tile's error is reported, then the watchdog, clock,
+//!      and time-series sampling advance.
 //!
+//!   Applying effects in place is exact because the kernel reads nothing
+//!   they write: a bank push made at `now` cannot be served before
+//!   `now + 1` ([`pick_access`] needs `arrival < now`), and the kernel
+//!   reads no bank queue, external storage, trace, fault, or obs state.
 //!   It is the only engine that runs fault plans and spare-bank remaps,
 //!   at any `--threads`.
 //! * **The quantum engine** ([`run_quantum`], multi-worker runs) shards
@@ -27,22 +31,21 @@
 //!   [`WorkerLane`]s in per-tick lockstep and meet only at quantum
 //!   boundaries (see the section comment below).
 //!
-//! The commit drain order is the determinism contract: it reproduces
-//! global core order exactly, and the quantum engine's mailboxes and
-//! boundary merges restore the same order, so both engines are
+//! The step engine's effect order — tile index, then issue order within
+//! a tile — is the determinism contract: the quantum engine's mailboxes
+//! and boundary merges restore the same order, so both engines are
 //! bit-identical at every worker count — same stats, same artifacts,
 //! same errors.
 //!
 //! Observability ([`ClusterObs`]), fault bookkeeping
 //! ([`FaultController`]), and tracing are `Rc`-based and never cross a
-//! thread boundary: the step engine touches them only in its pre and
-//! commit phases, the quantum engine only at its boundaries.
+//! thread boundary: the step engine runs on the calling thread, and the
+//! quantum engine touches them only at its boundaries.
 //!
-//! Error semantics: a core that faults during the local phase stops
-//! issuing for the rest of its *tile's* phase; other tiles complete the
-//! cycle. The commit drains every scratch and then reports the faulting
-//! core with the lowest global index — deterministic at every thread
-//! count.
+//! Error semantics: a core that faults stops issuing for the rest of
+//! its *tile's* cycle; other tiles complete the cycle. A tile's off-chip
+//! errors precede its issue error, and the lowest tile's error is
+//! reported — deterministic at every thread count.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -51,15 +54,13 @@ use std::time::Instant;
 use mempool_arch::{
     AddressMap, ClusterConfig, GlobalCoreId, LatencyModel, MemoryRegion, TileId, Topology,
 };
-use mempool_fault::{
-    CoreDiagnostic, DeadLinkPolicy, EccOutcome, FaultController, LinkState, TimedFault, Watchdog,
-};
+use mempool_fault::{DeadLinkPolicy, EccOutcome, FaultController, LinkState, TimedFault};
 use mempool_isa::exec::{self, Issue, MemAccessKind, MemWidth};
 use mempool_isa::Program;
 
 use crate::cluster::{
     latency_split, mem_probe_addr, sign_adjust, Bank, Cluster, ClusterObs, PendingAccess, Response,
-    Sampler, SimError, DIAGNOSTIC_RECENT_WINDOW,
+    Sampler, SimError,
 };
 use crate::core::{Core, Stall};
 use crate::icache::ICache;
@@ -68,8 +69,8 @@ use crate::offchip::OffchipPort;
 use crate::params::SimParams;
 use crate::trace::{Trace, TraceEntry};
 
-/// A deferred off-chip (external-memory) access issued in the local phase
-/// and resolved at commit, in issue order.
+/// An off-chip (external-memory) access the tile kernel issued, resolved
+/// once the kernel has released the address map (in issue order).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExternalIntent {
     /// Global id of the issuing core.
@@ -82,36 +83,11 @@ pub(crate) struct ExternalIntent {
     pub width: MemWidth,
 }
 
-/// A deferred fault-bookkeeping event from the local phase, replayed at
-/// commit in issue order so the flight-ring sequence matches the
-/// sequential engine.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FaultNote {
-    /// An access retried through a degraded F2F link.
-    Retry {
-        /// Destination tile whose link is degraded.
-        tile: TileId,
-        /// Extra cycles charged by the retry.
-        extra: u32,
-    },
-    /// An access black-holed by a dead F2F link.
-    BlackHole {
-        /// Destination tile whose link is open.
-        tile: TileId,
-        /// Global id of the issuing core.
-        core: u32,
-    },
-}
-
 /// Where the tile kernel ([`local_tile`]) puts every side effect it does
 /// not apply to its own tile. Monomorphized per engine: the step engine
-/// defers into a [`TileScratch`] drained by [`commit_tick`]; the quantum
-/// engine routes into its worker lane ([`LaneSink`]).
+/// applies effects in place ([`StepSink`]); the quantum engine routes
+/// them into its worker lane ([`LaneSink`]).
 pub(crate) trait TileSink {
-    /// Whether the kernel consults the per-tick [`LinkSnapshot`]. Only
-    /// the step engine runs fault plans, so the quantum build compiles
-    /// the degraded/dead-link arms out.
-    const LINK_FAULTS: bool;
     /// A response was delivered or an instruction retired (watchdog
     /// forward progress).
     fn progress(&mut self);
@@ -127,50 +103,69 @@ pub(crate) trait TileSink {
     fn bank_push(&mut self, tile: u32, bank: usize, access: PendingAccess);
     /// An off-chip access issued from `tile` at `now`.
     fn external(&mut self, now: u64, tile: u32, intent: ExternalIntent);
-    /// A fault-bookkeeping event (only reached when `LINK_FAULTS`).
-    fn fault_note(&mut self, note: FaultNote);
+    /// The health of the F2F link into `tile`. The default — every link
+    /// healthy — is for engines that run no fault plans: inlined, it
+    /// compiles the kernel's link-fault arms, and with them the three
+    /// methods below, out of their build.
+    #[inline]
+    fn link_state(&self, _tile: TileId) -> LinkState {
+        LinkState::Healthy
+    }
+    /// What happens to an access through a dead link.
+    fn dead_link_policy(&self) -> DeadLinkPolicy {
+        DeadLinkPolicy::default()
+    }
+    /// An access retried at `now` through `tile`'s degraded link, costing
+    /// `extra` cycles.
+    fn retry(&mut self, _now: u64, _tile: TileId, _extra: u32) {}
+    /// A request from `core` black-holed at `now` by `tile`'s dead link.
+    fn black_hole(&mut self, _now: u64, _tile: TileId, _core: u32) {}
 }
 
-/// Per-tile scratch buffer: every side effect the local phase may not
-/// apply directly, drained (in tile-index order) by [`commit_tick`].
-#[derive(Debug, Default)]
-pub(crate) struct TileScratch {
-    /// Deferred bank-queue pushes as `(global bank index, access)`.
-    pub bank_pushes: Vec<(usize, PendingAccess)>,
-    /// Deferred off-chip accesses.
-    pub externals: Vec<ExternalIntent>,
-    /// Deferred instruction-trace entries.
-    pub trace: Vec<TraceEntry>,
-    /// Deferred fault/flight events, in issue order.
-    pub fault_events: Vec<FaultNote>,
-    /// Global core ids that executed `wfi` this cycle (obs span begins).
-    pub halts: Vec<usize>,
-    /// I$ misses this cycle (observability counter delta).
-    pub icache_misses: u64,
-    /// The error that stopped this tile issuing this cycle.
-    pub error: Option<SimError>,
-    /// Whether any of this tile's cores received a response or retired
-    /// an instruction.
-    pub progress: bool,
+/// The step engine's [`TileSink`]: applies each effect in place as the
+/// kernel emits it — bank pushes to the bank queues, trace entries to
+/// the trace, link-fault notes to the fault controller, I$ misses and
+/// `wfi` span begins to the obs handle — and reads link health from the
+/// fault controller itself. It keeps only what the kernel's borrows
+/// force it to: the tile's off-chip intents (the kernel reads the
+/// address map out of the storage they write) and its issue error.
+struct StepSink<'a> {
+    banks: &'a mut [Bank],
+    trace: Option<&'a mut Trace>,
+    faults: Option<&'a mut FaultController>,
+    obs: Option<&'a ClusterObs>,
+    /// The current tile's off-chip intents, in issue order.
+    externals: &'a mut Vec<ExternalIntent>,
+    /// The error that stopped the current tile issuing.
+    error: Option<SimError>,
+    /// Whether any core received a response or retired an instruction.
+    progress: bool,
 }
 
-impl TileSink for TileScratch {
-    const LINK_FAULTS: bool = true;
-
+impl TileSink for StepSink<'_> {
     fn progress(&mut self) {
         self.progress = true;
     }
 
     fn icache_miss(&mut self) {
-        self.icache_misses += 1;
+        if let Some(hooks) = self.obs {
+            hooks.icache_misses.inc();
+        }
     }
 
     fn trace(&mut self, entry: TraceEntry) {
-        self.trace.push(entry);
+        if let Some(trace) = self.trace.as_deref_mut() {
+            trace.record(entry);
+        }
     }
 
-    fn halt(&mut self, _now: u64, core: u32) {
-        self.halts.push(core as usize);
+    fn halt(&mut self, now: u64, core: u32) {
+        if let Some(hooks) = self.obs {
+            hooks
+                .obs
+                .spans
+                .begin(hooks.core_tracks[core as usize], "wfi", now);
+        }
     }
 
     fn error(&mut self, _now: u64, _tile: u32, error: SimError) {
@@ -178,55 +173,38 @@ impl TileSink for TileScratch {
     }
 
     fn bank_push(&mut self, _tile: u32, bank: usize, access: PendingAccess) {
-        self.bank_pushes.push((bank, access));
+        self.banks[bank].queue.push(access);
     }
 
     fn external(&mut self, _now: u64, _tile: u32, intent: ExternalIntent) {
         self.externals.push(intent);
     }
 
-    fn fault_note(&mut self, note: FaultNote) {
-        self.fault_events.push(note);
+    fn link_state(&self, tile: TileId) -> LinkState {
+        self.faults
+            .as_deref()
+            .map_or(LinkState::Healthy, |faults| faults.link_state(tile))
     }
-}
 
-/// Per-tick snapshot of F2F link health, refreshed in the pre phase so
-/// the local phase can consult link state without touching the
-/// (`Rc`-based) [`FaultController`].
-#[derive(Debug, Default)]
-pub(crate) struct LinkSnapshot {
-    active: bool,
-    policy: DeadLinkPolicy,
-    states: Vec<LinkState>,
-}
+    fn dead_link_policy(&self) -> DeadLinkPolicy {
+        self.faults
+            .as_deref()
+            .map_or_else(DeadLinkPolicy::default, FaultController::dead_link_policy)
+    }
 
-impl LinkSnapshot {
-    /// Re-captures link states from the controller (if any).
-    pub(crate) fn refresh(&mut self, faults: Option<&FaultController>, num_tiles: u32) {
-        self.states.clear();
-        match faults {
-            Some(faults) => {
-                self.active = true;
-                self.policy = faults.dead_link_policy();
-                self.states
-                    .extend((0..num_tiles).map(|t| faults.link_state(TileId(t))));
-            }
-            None => self.active = false,
+    fn retry(&mut self, now: u64, tile: TileId, extra: u32) {
+        if let Some(faults) = self.faults.as_deref_mut() {
+            faults.record_retry(now, tile, extra as u64);
+        }
+        if let Some(hooks) = self.obs {
+            hooks.fault_retries.inc();
         }
     }
 
-    fn state(&self, tile: TileId) -> LinkState {
-        if !self.active {
-            return LinkState::Healthy;
+    fn black_hole(&mut self, now: u64, tile: TileId, core: u32) {
+        if let Some(faults) = self.faults.as_deref_mut() {
+            faults.record_blackhole(now, tile, core);
         }
-        self.states
-            .get(tile.index())
-            .copied()
-            .unwrap_or(LinkState::Healthy)
-    }
-
-    fn policy(&self) -> DeadLinkPolicy {
-        self.policy
     }
 }
 
@@ -238,49 +216,20 @@ pub(crate) struct KernelCtx<'a> {
     pub params: &'a SimParams,
     pub program: &'a Program,
     pub map: &'a AddressMap,
-    pub links: &'a LinkSnapshot,
     pub trace_on: bool,
 }
 
-/// The mutable state one tile owns during the step engine's local phase.
-#[derive(Debug)]
-pub(crate) struct TileCell<'a> {
-    /// Tile index.
-    pub tile: u32,
-    /// This tile's cores (contiguous global-id slice).
-    pub cores: &'a mut [Core],
-    /// This tile's instruction cache.
-    pub icache: &'a mut ICache,
-    /// Per-core in-flight response queues for this tile's cores.
-    pub responses: &'a mut [Vec<Response>],
-    /// This tile's deferred-side-effect buffer.
-    pub scratch: &'a mut TileScratch,
-}
-
-/// Everything outside the tiles, touched only by the pre and commit
-/// phases (the local phase reads the immutable parts through
-/// [`kernel_ctx`]).
-#[derive(Debug)]
-pub(crate) struct MainState<'a> {
-    pub config: &'a ClusterConfig,
-    pub topo: &'a Topology,
-    pub params: &'a SimParams,
-    pub program: &'a Program,
-    pub storage: &'a mut Storage,
-    pub links: &'a mut LinkSnapshot,
-    pub banks: &'a mut Vec<Bank>,
-    pub offchip: &'a mut OffchipPort,
-    pub trace: &'a mut Option<Trace>,
-    pub obs: &'a Option<ClusterObs>,
-    pub faults: &'a mut Option<FaultController>,
-    pub watchdog: &'a mut Option<Watchdog>,
-    pub sampler: &'a mut Option<Sampler>,
-    pub flight_enabled: bool,
-    pub cycle: &'a mut u64,
-}
-
-/// Borrows a cluster apart into the main state and per-tile cells.
-fn split(c: &mut Cluster) -> (MainState<'_>, Vec<TileCell<'_>>) {
+/// Advances the cluster by one cycle on the step engine: timed faults,
+/// bank service, the tile kernel over every tile in index order with its
+/// effects applied in place, then error report, watchdog, clock, and
+/// sampling.
+pub(crate) fn step(cluster: &mut Cluster) -> Result<(), SimError> {
+    apply_due_faults(cluster)?;
+    serve_banks(cluster)?;
+    if cluster.program.is_empty() {
+        return Err(SimError::NoProgram);
+    }
+    let now = cluster.cycle;
     let Cluster {
         config,
         topo,
@@ -292,126 +241,91 @@ fn split(c: &mut Cluster) -> (MainState<'_>, Vec<TileCell<'_>>) {
         banks,
         responses,
         offchip,
-        cycle,
         trace,
         obs,
         faults,
-        watchdog,
-        sampler,
-        flight_enabled,
-        scratches,
-        links,
+        step_externals,
         ..
-    } = c;
+    } = &mut *cluster;
+    let (config, topo, params, program) = (&*config, &*topo, &*params, &*program);
     let cpt = config.cores_per_tile() as usize;
-    let cells = cores
+    let trace_on = trace.is_some();
+    let mut sink = StepSink {
+        banks,
+        trace: trace.as_mut(),
+        faults: faults.as_mut(),
+        obs: obs.as_ref(),
+        externals: step_externals,
+        error: None,
+        progress: false,
+    };
+    let mut first_error = None;
+    let tiles = cores
         .chunks_mut(cpt)
         .zip(responses.chunks_mut(cpt))
-        .zip(icaches.iter_mut().zip(scratches.iter_mut()))
-        .enumerate()
-        .map(|(tile, ((cores, responses), (icache, scratch)))| TileCell {
-            tile: tile as u32,
-            cores,
-            icache,
-            responses,
-            scratch,
-        })
-        .collect();
-    (
-        MainState {
+        .zip(icaches.iter_mut());
+    for (tile, ((cores, responses), icache)) in tiles.enumerate() {
+        let ctx = KernelCtx {
             config,
             topo,
             params,
             program,
-            storage,
-            links,
-            banks,
-            offchip,
-            trace,
-            obs,
-            faults,
-            watchdog,
-            sampler,
-            flight_enabled: *flight_enabled,
-            cycle,
-        },
-        cells,
-    )
-}
-
-/// The tile kernel's context, borrowed from the main state.
-fn kernel_ctx<'b>(ms: &'b MainState<'_>) -> KernelCtx<'b> {
-    KernelCtx {
-        config: ms.config,
-        topo: ms.topo,
-        params: ms.params,
-        program: ms.program,
-        map: ms.storage.map(),
-        links: &*ms.links,
-        trace_on: ms.trace.is_some(),
+            map: storage.map(),
+            trace_on,
+        };
+        local_tile(&ctx, now, tile as u32, cores, icache, responses, &mut sink);
+        // The tile's off-chip errors precede its issue error; the lowest
+        // tile's error wins, once every tile has completed the cycle.
+        let mut tile_error = None;
+        for intent in sink.externals.drain(..) {
+            let local = intent.core as usize - tile * cpt;
+            if let Err(e) = resolve_external(storage, offchip, now, &intent, &mut responses[local])
+            {
+                tile_error.get_or_insert(e);
+            }
+        }
+        let tile_error = tile_error.or(sink.error.take());
+        first_error = first_error.or(tile_error);
     }
-}
-
-/// Advances the cluster by one cycle on the step engine: pre phase, the
-/// tile kernel over every tile in index order, commit.
-pub(crate) fn step(cluster: &mut Cluster) -> Result<(), SimError> {
-    let (mut ms, mut cells) = split(cluster);
-    pre_tick(&mut ms, &mut cells)?;
-    let now = *ms.cycle;
-    let ctx = kernel_ctx(&ms);
-    for cell in cells.iter_mut() {
-        local_tile(
-            &ctx,
-            now,
-            cell.tile,
-            cell.cores,
-            cell.icache,
-            cell.responses,
-            cell.scratch,
-        );
+    let progress = sink.progress;
+    if let Some(err) = first_error {
+        return Err(err);
     }
-    commit_tick(&mut ms, &mut cells)
-}
-
-/// The sequential pre phase: timed faults, bank service, the no-program
-/// check, and the link-snapshot refresh.
-fn pre_tick(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
-    apply_due_faults(ms, cells)?;
-    serve_banks(ms, cells)?;
-    if ms.program.is_empty() {
-        return Err(SimError::NoProgram);
+    if let Some(watchdog) = cluster.watchdog.as_mut() {
+        if progress {
+            watchdog.note_progress(now);
+        } else if watchdog.expired(now) {
+            let stalled_for = watchdog.stalled_for(now);
+            return Err(deadlock(cluster, now, stalled_for));
+        }
     }
-    ms.links.refresh(ms.faults.as_ref(), ms.config.num_tiles());
+    cluster.cycle += 1;
+    sample_if_due(cluster);
     Ok(())
 }
 
 /// Applies timed faults due at the current cycle: bit flips corrupt the
 /// stored word (and arm the ECC mask), hangs latch cores up.
-fn apply_due_faults(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
-    let due = match ms.faults.as_mut() {
-        Some(faults) => faults.take_due(*ms.cycle),
+fn apply_due_faults(c: &mut Cluster) -> Result<(), SimError> {
+    let due = match c.faults.as_mut() {
+        Some(faults) => faults.take_due(c.cycle),
         None => return Ok(()),
     };
-    let cpt = ms.config.cores_per_tile() as usize;
     for fault in due {
         match fault {
             TimedFault::Flip { loc, mask } => {
                 // A flip aimed outside the geometry (or at a remapped
                 // word's logical home) still lands: the storage layer
                 // resolves through the remap, so the spare takes it.
-                if let Ok(word) = ms.storage.read_loc(loc) {
-                    ms.storage.write_loc(loc, word ^ mask)?;
-                    if let Some(faults) = ms.faults.as_mut() {
+                if let Ok(word) = c.storage.read_loc(loc) {
+                    c.storage.write_loc(loc, word ^ mask)?;
+                    if let Some(faults) = c.faults.as_mut() {
                         faults.note_flip(loc, mask);
                     }
                 }
             }
             TimedFault::Hang { core } => {
-                let (tile, local) = (core as usize / cpt, core as usize % cpt);
-                if let Some(core) = cells
-                    .get_mut(tile)
-                    .and_then(|cell| cell.cores.get_mut(local))
-                {
+                if let Some(core) = c.cores.get_mut(core as usize) {
                     core.hang();
                 }
             }
@@ -481,20 +395,15 @@ fn kind_name(kind: MemAccessKind) -> &'static str {
 /// The step engine's bank-service phase: every bank serves at most one
 /// request ([`pick_access`]), with the SEC-DED check and scrub, the
 /// spare-bank remap (inside [`Storage::read_loc`]), and flight events.
-fn serve_banks(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
-    let now = *ms.cycle;
-    let flight = if ms.flight_enabled {
-        ms.obs.as_ref().map(|hooks| hooks.obs.flight.clone())
-    } else {
-        None
-    };
-    let cpt = ms.config.cores_per_tile() as usize;
-    for bank in ms.banks.iter_mut() {
+fn serve_banks(c: &mut Cluster) -> Result<(), SimError> {
+    let now = c.cycle;
+    let flight = c.flight_handle();
+    for bank in c.banks.iter_mut() {
         let Some((access, conflicts)) = pick_access(bank, now) else {
             continue;
         };
         if conflicts > 0 {
-            if let Some(hooks) = ms.obs {
+            if let Some(hooks) = &c.obs {
                 hooks.bank_conflicts.add(conflicts);
             }
         }
@@ -512,8 +421,7 @@ fn serve_banks(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(),
                 ),
             );
         }
-        let (tile, local) = (access.core as usize / cpt, access.core as usize % cpt);
-        let mut old_word = ms.storage.read_loc(access.loc)?;
+        let mut old_word = c.storage.read_loc(access.loc)?;
         // SEC-DED check on every access that observes the stored word
         // (a full-word store overwrites it without reading).
         let reads_word = !matches!(
@@ -525,20 +433,20 @@ fn serve_banks(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(),
         );
         let mut extra_resp = 0u32;
         if reads_word {
-            if let Some(faults) = ms.faults.as_mut() {
+            if let Some(faults) = c.faults.as_mut() {
                 match faults.ecc_read(now, access.loc, old_word) {
                     EccOutcome::Clean => {}
                     EccOutcome::Corrected { value } => {
                         // Correct the returned word and scrub storage.
                         old_word = value;
-                        ms.storage.write_loc(access.loc, value)?;
-                        extra_resp = ms.params.ecc_correction_penalty;
-                        let core = &mut cells[tile].cores[local];
+                        c.storage.write_loc(access.loc, value)?;
+                        extra_resp = c.params.ecc_correction_penalty;
+                        let core = &mut c.cores[access.core as usize];
                         if !core.halted() {
                             core.insert_bubble(extra_resp);
                             core.stats.stall_ecc += extra_resp as u64;
                         }
-                        if let Some(hooks) = ms.obs {
+                        if let Some(hooks) = &c.obs {
                             hooks.ecc_corrected.inc();
                         }
                     }
@@ -553,13 +461,13 @@ fn serve_banks(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(),
         }
         let (write, value) = access_word(&access, old_word);
         if let Some(new) = write {
-            ms.storage.write_loc(access.loc, new)?;
+            c.storage.write_loc(access.loc, new)?;
             // Any write leaves a freshly encoded (error-free) word behind.
-            if let Some(faults) = ms.faults.as_mut() {
+            if let Some(faults) = c.faults.as_mut() {
                 faults.ecc_clear(access.loc);
             }
         }
-        cells[tile].responses[local].push(Response {
+        c.responses[access.core as usize].push(Response {
             due: now + (access.resp_latency + extra_resp) as u64,
             reg: access.kind.response_reg(),
             value,
@@ -691,40 +599,28 @@ fn local_tile<S: TileSink>(
                         // The destination tile's F2F via carries every
                         // access to that tile's banks on the memory die.
                         let mut extra_req = 0u32;
-                        if S::LINK_FAULTS {
-                            match ctx.links.state(loc.tile) {
-                                LinkState::Healthy => {}
-                                LinkState::Degraded(extra) => {
-                                    sink.fault_note(FaultNote::Retry {
-                                        tile: loc.tile,
-                                        extra,
-                                    });
-                                    core.insert_bubble(extra);
-                                    core.stats.stall_fault_retry += extra as u64;
-                                    extra_req = extra;
-                                }
-                                LinkState::Dead => match ctx.links.policy() {
-                                    DeadLinkPolicy::Error => {
-                                        sink.error(
-                                            now,
-                                            tile,
-                                            SimError::LinkDead { tile: loc.tile },
-                                        );
-                                        break 'issue;
-                                    }
-                                    DeadLinkPolicy::BlackHole => {
-                                        // The request vanishes into the
-                                        // open via; the scoreboard entry
-                                        // is pinned forever.
-                                        sink.fault_note(FaultNote::BlackHole {
-                                            tile: loc.tile,
-                                            core: index as u32,
-                                        });
-                                        core.mark_pending(req.kind.response_reg());
-                                        continue;
-                                    }
-                                },
+                        match sink.link_state(loc.tile) {
+                            LinkState::Healthy => {}
+                            LinkState::Degraded(extra) => {
+                                sink.retry(now, loc.tile, extra);
+                                core.insert_bubble(extra);
+                                core.stats.stall_fault_retry += extra as u64;
+                                extra_req = extra;
                             }
+                            LinkState::Dead => match sink.dead_link_policy() {
+                                DeadLinkPolicy::Error => {
+                                    sink.error(now, tile, SimError::LinkDead { tile: loc.tile });
+                                    break 'issue;
+                                }
+                                DeadLinkPolicy::BlackHole => {
+                                    // The request vanishes into the open
+                                    // via; the scoreboard entry is pinned
+                                    // forever.
+                                    sink.black_hole(now, loc.tile, index as u32);
+                                    core.mark_pending(req.kind.response_reg());
+                                    continue;
+                                }
+                            },
                         }
                         let class = LatencyModel::classify(ctx.config, tile_id, loc.tile);
                         core.stats
@@ -746,7 +642,8 @@ fn local_tile<S: TileSink>(
                     }
                     MemoryRegion::External(_) => {
                         // Word-granular access over the off-chip port,
-                        // serialized (and data-resolved) after the tick.
+                        // serialized (and data-resolved) once the kernel
+                        // has released the address map.
                         core.mark_pending(req.kind.response_reg());
                         sink.external(
                             now,
@@ -766,9 +663,9 @@ fn local_tile<S: TileSink>(
     }
 }
 
-/// Resolves one deferred off-chip access, shared by the step commit and
-/// the quantum boundary: books the port, moves the data, and queues the
-/// response.
+/// Resolves one off-chip access, shared by the step engine (after each
+/// tile's kernel call) and the quantum boundary: books the port, moves
+/// the data, and queues the response.
 fn resolve_external(
     storage: &mut Storage,
     offchip: &mut OffchipPort,
@@ -797,150 +694,39 @@ fn resolve_external(
     Ok(())
 }
 
-/// The sequential commit phase: drains every tile's scratch in tile-index
-/// order (trace, bank pushes, off-chip accesses, fault/obs events), then
-/// reports the first error by global core order, runs the watchdog,
-/// advances the clock, and closes a sampling epoch if one is due.
-fn commit_tick(ms: &mut MainState<'_>, cells: &mut [TileCell<'_>]) -> Result<(), SimError> {
-    let now = *ms.cycle;
-    let mut progress = false;
-    let mut first_error: Option<SimError> = None;
-    for cell in cells.iter_mut() {
-        progress |= std::mem::take(&mut cell.scratch.progress);
-        for entry in cell.scratch.trace.drain(..) {
-            if let Some(trace) = ms.trace.as_mut() {
-                trace.record(entry);
-            }
-        }
-        for (bank, access) in cell.scratch.bank_pushes.drain(..) {
-            ms.banks[bank].queue.push(access);
-        }
-        let base = cell.tile as usize * cell.cores.len();
-        let mut tile_error: Option<SimError> = None;
-        for intent in cell.scratch.externals.drain(..) {
-            let local = intent.core as usize - base;
-            if let Err(e) = resolve_external(
-                ms.storage,
-                ms.offchip,
-                now,
-                &intent,
-                &mut cell.responses[local],
-            ) {
-                // Off-chip intents precede any issue-time error of this
-                // tile in global core order, so the first one wins.
-                if tile_error.is_none() {
-                    tile_error = Some(e);
-                }
-            }
-        }
-        if let Some(e) = cell.scratch.error.take() {
-            if tile_error.is_none() {
-                tile_error = Some(e);
-            }
-        }
-        if first_error.is_none() {
-            first_error = tile_error;
-        }
-        for note in cell.scratch.fault_events.drain(..) {
-            match note {
-                FaultNote::Retry { tile, extra } => {
-                    if let Some(faults) = ms.faults.as_mut() {
-                        faults.record_retry(now, tile, extra as u64);
-                    }
-                    if let Some(hooks) = ms.obs {
-                        hooks.fault_retries.inc();
-                    }
-                }
-                FaultNote::BlackHole { tile, core } => {
-                    if let Some(faults) = ms.faults.as_mut() {
-                        faults.record_blackhole(now, tile, core);
-                    }
-                }
-            }
-        }
-        if cell.scratch.icache_misses > 0 {
-            if let Some(hooks) = ms.obs {
-                hooks.icache_misses.add(cell.scratch.icache_misses);
-            }
-            cell.scratch.icache_misses = 0;
-        }
-        for index in cell.scratch.halts.drain(..) {
-            if let Some(hooks) = ms.obs {
-                hooks.obs.spans.begin(hooks.core_tracks[index], "wfi", now);
-            }
-        }
+/// The watchdog's expiry at `now`, shared by both engines: records the
+/// flight event and builds the deadlock error with per-core diagnostics.
+/// The clock stays on `now`.
+fn deadlock(cluster: &Cluster, now: u64, stalled_for: u64) -> SimError {
+    if let Some(flight) = cluster.flight_handle() {
+        flight.record(
+            now,
+            "watchdog",
+            None,
+            format!("expired: no forward progress for {stalled_for} cycles"),
+        );
     }
-    if let Some(err) = first_error {
-        return Err(err);
+    SimError::Deadlock {
+        stalled_for,
+        diagnostics: cluster.core_diagnostics(),
     }
-    let mut deadlock = None;
-    if let Some(watchdog) = ms.watchdog.as_mut() {
-        if progress {
-            watchdog.note_progress(now);
-        } else if watchdog.expired(now) {
-            deadlock = Some(watchdog.stalled_for(now));
-        }
-    }
-    if let Some(stalled_for) = deadlock {
-        if ms.flight_enabled {
-            if let Some(hooks) = ms.obs {
-                hooks.obs.flight.record(
-                    now,
-                    "watchdog",
-                    None,
-                    format!("expired: no forward progress for {stalled_for} cycles"),
-                );
-            }
-        }
-        return Err(SimError::Deadlock {
-            stalled_for,
-            diagnostics: core_diagnostics_from(
-                cells.iter().flat_map(|cell| cell.cores.iter()),
-                ms.trace.as_ref(),
-            ),
-        });
-    }
-    *ms.cycle += 1;
-    if ms
-        .sampler
-        .as_ref()
-        .is_some_and(|sampler| *ms.cycle >= sampler.next_at)
-    {
-        sample_epoch(ms, cells);
-    }
-    Ok(())
 }
 
-/// Per-core liveness snapshots (deadlock diagnostics) built from an
-/// iterator of cores in global order.
-pub(crate) fn core_diagnostics_from<'a>(
-    cores: impl Iterator<Item = &'a Core>,
-    trace: Option<&Trace>,
-) -> Vec<CoreDiagnostic> {
-    cores
-        .enumerate()
-        .map(|(i, core)| {
-            let recent = trace
-                .map(|trace| {
-                    let lines: Vec<String> = trace
-                        .for_core(GlobalCoreId::new(i as u32))
-                        .map(TraceEntry::to_string)
-                        .collect();
-                    let keep = lines.len().saturating_sub(DIAGNOSTIC_RECENT_WINDOW);
-                    lines[keep..].to_vec()
-                })
-                .unwrap_or_default();
-            CoreDiagnostic {
-                core: i as u32,
-                pc: core.pc,
-                halted: core.halted(),
-                hung: core.hung(),
-                outstanding: core.outstanding(),
-                retired: core.stats.retired,
-                recent,
-            }
-        })
-        .collect()
+/// Closes the current sampling epoch if one came due at the clock,
+/// shared by both engines: pushes one sample per series and re-baselines
+/// the counters.
+fn sample_if_due(cluster: &mut Cluster) {
+    let now = cluster.cycle;
+    let Some(sampler) = cluster.sampler.as_ref().filter(|s| now >= s.next_at) else {
+        return;
+    };
+    let inputs = cluster.sample_inputs(now);
+    if let Some(hooks) = &cluster.obs {
+        push_samples(hooks, sampler, now, &inputs);
+    }
+    if let Some(sampler) = cluster.sampler.as_mut() {
+        sampler.rebaseline(inputs, now);
+    }
 }
 
 /// Everything the time-series sampler reads at a window boundary, in one
@@ -956,37 +742,6 @@ pub(crate) struct SampleInputs {
     pub outstanding: u64,
     pub backlog: u64,
     pub peak_bytes_per_cycle: f64,
-}
-
-/// Collects a sampling snapshot from phase views (cores must come in
-/// global order).
-pub(crate) fn collect_samples<'a>(
-    cores: impl Iterator<Item = &'a Core>,
-    cores_per_tile: usize,
-    num_tiles: usize,
-    banks: &[Bank],
-    storage: &Storage,
-    offchip: &OffchipPort,
-    now: u64,
-) -> SampleInputs {
-    use mempool_arch::AccessClass;
-    let mut inputs = SampleInputs {
-        retired_per_tile: vec![0u64; num_tiles],
-        ..SampleInputs::default()
-    };
-    for (i, core) in cores.enumerate() {
-        inputs.retired_per_tile[i / cores_per_tile] += core.stats.retired;
-        inputs.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
-        inputs.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
-            + core.stats.accesses[AccessClass::Remote as usize];
-        inputs.outstanding += u64::from(core.outstanding());
-    }
-    inputs.conflicts = banks.iter().map(|b| b.stats.conflicts).sum();
-    inputs.offchip_bytes = offchip.total_bytes();
-    inputs.spm_touches = storage.spm_word_touches();
-    inputs.backlog = offchip.backlog(now);
-    inputs.peak_bytes_per_cycle = offchip.bytes_per_cycle() as f64;
-    inputs
 }
 
 /// Pushes one sample per series for the window ending at `now`, with
@@ -1041,36 +796,14 @@ pub(crate) fn push_samples(hooks: &ClusterObs, sampler: &Sampler, now: u64, inpu
     );
 }
 
-/// Closes the current sampling epoch: pushes one sample per series and
-/// re-baselines the counters.
-fn sample_epoch(ms: &mut MainState<'_>, cells: &[TileCell<'_>]) {
-    let Some(sampler) = ms.sampler.as_mut() else {
-        return;
-    };
-    let now = *ms.cycle;
-    let inputs = collect_samples(
-        cells.iter().flat_map(|cell| cell.cores.iter()),
-        ms.config.cores_per_tile() as usize,
-        ms.config.num_tiles() as usize,
-        ms.banks,
-        ms.storage,
-        ms.offchip,
-        now,
-    );
-    if let Some(hooks) = ms.obs {
-        push_samples(hooks, sampler, now, &inputs);
-    }
-    sampler.rebaseline(inputs, now);
-}
-
 // ---------------------------------------------------------------------------
 // The quantum engine: arena-backed, tile-sharded multi-worker path.
 // ---------------------------------------------------------------------------
 //
-// The step engine funnels every bank service and every commit through one
-// thread per simulated cycle. The quantum engine runs multi-worker runs
-// without fault plans or spare-bank remaps ([`Cluster::run`] checks
-// eligibility) with neither cost:
+// The step engine runs every bank service and every tile kernel on one
+// thread per simulated cycle. The quantum engine spreads multi-worker
+// runs without fault plans or spare-bank remaps ([`Cluster::run`] checks
+// eligibility) over host threads:
 //
 // * **Static tile→thread ownership.** Tiles are split into contiguous,
 //   per-worker shards ([`TileShard`]): a worker owns its tiles' cores, I$,
@@ -1082,7 +815,7 @@ fn sample_epoch(ms: &mut MainState<'_>, cells: &[TileCell<'_>]) {
 //   by tick parity, reused across ticks and quanta ([`QuantumArena`]). A
 //   sender tags entries with its source tile and the receiver applies them
 //   sorted by that tag ([`Inbox::drain_into`]), which reproduces the step
-//   commit's tile-index drain order exactly — the bank-queue contents
+//   engine's tile-index push order exactly — the bank-queue contents
 //   evolve bit-identically at every worker count.
 // * **Amortized synchronization.** Workers run in per-tick lockstep via
 //   padded atomic progress counters (spin-then-yield, no futexes) and only
@@ -1123,7 +856,7 @@ pub(crate) struct PaddedCounter(AtomicU64);
 /// Cross-tile traffic addressed to one tile, double-buffered by tick
 /// parity. Entries are `(source tile, local index, payload)`; the
 /// receiver applies them sorted by source tile, reproducing the step
-/// engine's commit drain order.
+/// engine's tile-order push order.
 #[derive(Debug, Default)]
 pub(crate) struct Inbox {
     /// Bank-queue pushes: `(src tile, bank index within dest tile, access)`.
@@ -1264,15 +997,14 @@ impl WorkerLane {
 /// and errors are tagged with their tick and shorten the quantum via
 /// `stop_at`; trace entries, `wfi` span begins, and forward-progress
 /// marks land in the lane's observation buffers for deterministic
-/// boundary replay.
+/// boundary replay. It keeps the default, always-healthy link state:
+/// fault plans never run on the quantum engine.
 struct LaneSink<'a> {
     ctx: &'a QuantumCtx<'a>,
     lane: &'a mut WorkerLane,
 }
 
 impl TileSink for LaneSink<'_> {
-    const LINK_FAULTS: bool = false;
-
     fn progress(&mut self) {
         self.lane.progress = true;
     }
@@ -1308,10 +1040,6 @@ impl TileSink for LaneSink<'_> {
         self.ctx
             .stop_at
             .fetch_min(now + self.ctx.ext_hold, Ordering::AcqRel);
-    }
-
-    fn fault_note(&mut self, _note: FaultNote) {
-        unreachable!("fault plans never run on the quantum engine")
     }
 }
 
@@ -1396,8 +1124,7 @@ impl QuantumArena {
 /// Immutable context shared by every quantum worker.
 #[derive(Debug)]
 struct QuantumCtx<'a> {
-    /// What the tile kernel reads (its link snapshot is never consulted
-    /// here: [`LaneSink`] compiles the link-fault arms out).
+    /// What the tile kernel reads.
     kernel: KernelCtx<'a>,
     /// The tick every worker stops before; shortened by off-chip
     /// accesses and errors.
@@ -1656,7 +1383,6 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
             icaches,
             banks,
             responses,
-            links,
             quantum,
             ..
         } = &mut *cluster;
@@ -1671,7 +1397,6 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
                 params,
                 program,
                 map,
-                links,
                 trace_on,
             },
             stop_at: &stop_at,
@@ -1773,7 +1498,7 @@ fn quantum_boundary(
     let cpt = cluster.config.cores_per_tile() as usize;
     // The winning error, keyed `(tick, tile, phase)` with off-chip
     // resolution (phase 0) preceding issue errors (phase 1) within a
-    // tile — the sequential commit's drain order.
+    // tile — the step engine's error order.
     let mut winner: Option<(u64, u32, u32, SimError)> = None;
     let mut note = |tick: u64, tile: u32, phase: u32, error: SimError| {
         let better = match &winner {
@@ -1809,8 +1534,8 @@ fn quantum_boundary(
             }
         }
         // Resolve deferred off-chip accesses in (tick, tile) order — the
-        // order the sequential commit would have resolved them — and
-        // merge the per-worker touch counts and observation lanes.
+        // order the step engine resolves them in — and merge the
+        // per-worker touch counts and observation lanes.
         let mut ext = std::mem::take(&mut quantum.ext_merge);
         ext.clear();
         let mut trace_merge = std::mem::take(&mut quantum.trace_merge);
@@ -1845,13 +1570,13 @@ fn quantum_boundary(
         quantum.ext_merged_last = ext.len() as u64;
         ext.clear();
         quantum.ext_merge = ext;
-        // Replay the observation lanes in the sequential commit's drain
-        // order. Lanes own disjoint contiguous tile ranges and record
+        // Replay the observation lanes in the step engine's effect order.
+        // Lanes own disjoint contiguous tile ranges and record
         // tick-ascending, so a stable sort on (tick, tile-encoding key)
         // reconstructs the global order exactly; within one (tick, tile)
         // a single lane's intra-tile order (cores / banks ascending) is
-        // preserved. An error tick drains fully before the error is
-        // reported, exactly like `commit_tick`.
+        // preserved. An error tick's effects all land before the error is
+        // reported, exactly like the step engine's.
         trace_merge.sort_by_key(|e| (e.cycle, e.core.index()));
         if let Some(trace) = trace.as_mut() {
             for &entry in trace_merge.iter() {
@@ -1909,9 +1634,9 @@ fn quantum_boundary(
         }
     }
     if let Some((tick, _, _, error)) = winner {
-        // The sequential engine reports an error with the clock still on
-        // the tick that raised it, and notes watchdog progress only for
-        // the fully committed ticks before it.
+        // The step engine reports an error with the clock still on the
+        // tick that raised it, and notes watchdog progress only for the
+        // completed ticks before it.
         if let Some(wd) = cluster.watchdog.as_mut() {
             if let Some(&lp) = cluster
                 .quantum
@@ -1969,45 +1694,18 @@ fn quantum_boundary(
         }
     }
     if let Some(stalled_for) = deadlock {
-        // Identical to `commit_tick`: the clock stays on the expiring
-        // tick, the flight ring gets the expiry event after that tick's
-        // mem events, and diagnostics see the replayed trace.
+        // As on the step engine: the clock stays on the expiring tick,
+        // the flight ring gets the expiry event after that tick's mem
+        // events, and diagnostics see the replayed trace.
         let last = reached - 1;
         cluster.cycle = last;
-        if cluster.flight_enabled {
-            if let Some(hooks) = &cluster.obs {
-                hooks.obs.flight.record(
-                    last,
-                    "watchdog",
-                    None,
-                    format!("expired: no forward progress for {stalled_for} cycles"),
-                );
-            }
-        }
-        return Err(SimError::Deadlock {
-            stalled_for,
-            diagnostics: core_diagnostics_from(cluster.cores.iter(), cluster.trace.as_ref()),
-        });
+        return Err(self::deadlock(cluster, last, stalled_for));
     }
     // Close a sampling epoch if one came due. `run_quantum` also caps the
     // quantum target at `sampler.next_at`, so the boundary lands exactly
-    // on the cycle the sequential engine would have sampled at, with
-    // identical reassembled state (externals resolved, mailboxes
-    // flushed).
-    if cluster
-        .sampler
-        .as_ref()
-        .is_some_and(|sampler| cluster.cycle >= sampler.next_at)
-    {
-        let now = cluster.cycle;
-        let inputs = cluster.sample_inputs(now);
-        if let Some(sampler) = &cluster.sampler {
-            cluster.push_samples(sampler, now);
-        }
-        if let Some(sampler) = cluster.sampler.as_mut() {
-            sampler.rebaseline(inputs, now);
-        }
-    }
+    // on the cycle the step engine would have sampled at, with identical
+    // reassembled state (externals resolved, mailboxes flushed).
+    sample_if_due(cluster);
     Ok(quiescent)
 }
 
@@ -2036,8 +1734,8 @@ pub(crate) fn run_quantum(
         let mut target = deadline.min(cluster.cycle + QUANTUM_TICKS);
         if let Some(sampler) = &cluster.sampler {
             // Stop exactly on the sampling cycle: the boundary then
-            // closes the epoch against the same state the sequential
-            // engine's commit would have sampled.
+            // closes the epoch against the same state the step engine
+            // would have sampled.
             target = target.min(sampler.next_at.max(cluster.cycle + 1));
         }
         if let Some(wd) = &cluster.watchdog {

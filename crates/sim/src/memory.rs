@@ -273,8 +273,8 @@ pub struct Storage {
     /// SPM words read or written so far (core accesses and DMA word
     /// traffic alike) — the time-series sampler reads this per epoch.
     /// Atomic (not `Cell`) so `&Storage` stays `Sync`. Only one thread
-    /// ever touches it at a time: the step engine's sequential phases, or
-    /// the quantum engine's boundary, which folds in the workers' own
+    /// ever touches it at a time: the step engine, or the quantum
+    /// engine's boundary, which folds in the workers' own
     /// counts ([`Storage::add_touches`]). The count is therefore
     /// deterministic.
     touches: AtomicU64,
