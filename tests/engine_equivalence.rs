@@ -10,6 +10,13 @@
 //! cycle-attribution report, the pinned benchmark summary, and even the
 //! exact `SimError` raised by a watchdog-detected deadlock must not
 //! change with the thread count.
+//!
+//! The fault legs (the seed-42 run and the black-hole deadlock) take the
+//! step loop at every thread count, so comparing them across thread
+//! counts alone would compare that loop with itself. They are pinned to
+//! constants recorded on the engine that deferred every tile's side
+//! effects to a per-tick commit, before the step loop applied them in
+//! place.
 
 use mempool_arch::{ClusterConfig, TileId};
 use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
