@@ -363,8 +363,10 @@ fn cmd_check(args: &[String]) -> ExitCode {
 
 /// `repro perf` — runs the sized engine-throughput probe alone and gates
 /// on the `parallel_speedup` hard floor: a parallel engine slower than
-/// sequential exits 1. This is the CI perf smoke step (seconds, not a
-/// full figure run).
+/// sequential exits 1, and so does a probe that had fewer than two host
+/// workers (both legs then ran the sequential engine, so the pinned 1.0
+/// speedup measured nothing). This is the CI perf smoke step (seconds,
+/// not a full figure run).
 fn cmd_perf(args: &[String]) -> ExitCode {
     if let Some(other) = args.first() {
         eprintln!("repro perf: unexpected argument {other:?}");
@@ -373,15 +375,26 @@ fn cmd_perf(args: &[String]) -> ExitCode {
     eprintln!("running the engine-throughput probe ...");
     let probe = mempool_bench::perf_probe();
     println!("{}", probe.to_pretty());
-    let speedup = probe
-        .get("parallel_speedup")
-        .and_then(|v| match v {
-            Json::Float(f) => Some(*f),
-            Json::Int(n) => Some(*n as f64),
-            _ => None,
-        })
-        .unwrap_or(f64::NAN);
-    // NaN (a malformed probe) must fail the gate, not sneak past it.
+    let number = |key: &str| {
+        probe
+            .get(key)
+            .and_then(|v| match v {
+                Json::Float(f) => Some(*f),
+                Json::Int(n) => Some(*n as f64),
+                _ => None,
+            })
+            .unwrap_or(f64::NAN)
+    };
+    // NaN (a malformed probe) must fail both checks, not sneak past them.
+    let workers = number("parallel_workers");
+    if workers.is_nan() || workers < 2.0 {
+        eprintln!(
+            "repro perf: nothing measured: parallel_workers = {workers}, so both legs \
+             ran the sequential engine (the gate needs a host with at least 2 CPUs)"
+        );
+        return ExitCode::from(EXIT_REGRESSION);
+    }
+    let speedup = number("parallel_speedup");
     if speedup.is_nan() || speedup < 1.0 {
         eprintln!(
             "repro perf: parallel_speedup = {speedup} is below the 1.0 hard floor \
