@@ -13,10 +13,10 @@
 //!
 //! The fault legs (the seed-42 run and the black-hole deadlock) take the
 //! step loop at every thread count, so comparing them across thread
-//! counts alone would compare that loop with itself. They are pinned to
-//! constants recorded on the engine that deferred every tile's side
-//! effects to a per-tick commit, before the step loop applied them in
-//! place.
+//! counts alone would compare that loop with itself. They are also
+//! pinned to recorded constants (cycles, digest and artifact hashes; the
+//! stall length and stop clock), so a change to the step loop itself
+//! that moves them fails here.
 
 use mempool_arch::{ClusterConfig, TileId};
 use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
